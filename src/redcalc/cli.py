@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import asym, exact, oracle, series
-from .errors import MismatchError, RedcalcError, ResourceCapError
+from .errors import DomainError, MismatchError, RedcalcError, ResourceCapError
 from .paths import fringe_sizes, parse_path, rdeg, reduce_path, extremal_path
 from .trees import (
     almost_complete,
@@ -30,11 +30,18 @@ FIGURE_N_CAP = 100000
 
 
 def _threads(args):
+    """Thread count from --threads or REDCALC_THREADS.  The enumeration
+    scans run on one thread whatever the value; it changes no output."""
     if args.threads is not None:
         return args.threads
     env = os.environ.get("REDCALC_THREADS")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise DomainError(
+                f"REDCALC_THREADS must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -174,8 +181,16 @@ def _asymptotic_value(quantity, n, r, terms):
     raise RedcalcError(f"no asymptotic backend for {quantity!r}")
 
 
+# quantities that take --r; every quantity except series-coefficients takes --n
+_NEEDS_R = ("r-branches-mean", "fringe-mean")
+
+
 def cmd_table(args):
     threads = _threads(args)
+    if args.quantity != "series-coefficients" and args.n is None:
+        raise DomainError(f"table {args.quantity} needs --n")
+    if args.quantity in _NEEDS_R and args.r is None:
+        raise DomainError(f"table {args.quantity} needs --r")
     if args.quantity == "series-coefficients":
         r = args.r if args.r is not None else 1
         order = args.order
@@ -287,6 +302,8 @@ _FIGURES = {
 
 def figure_rows(figure, x_min, x_max, points, terms):
     """Grid rows (x, n, exact, smooth, residual, delta) for one figure."""
+    if points < 2:
+        raise DomainError("a figure grid needs at least 2 points")
     spec = _FIGURES[figure]
     fluc = asym.fluctuation(spec["family"], terms)
     rows = []

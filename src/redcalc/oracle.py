@@ -1,17 +1,18 @@
 """Ground-truth backend: exhaustive enumeration, uniform samplers, CLT checks.
 
 Enumeration keeps every statistic as exact integers, so agreement with the
-series and closed-form backends can be asserted as equality.  The scans are
-partitioned deterministically (trees by left-subtree size, paths by step
-prefix, samples by fixed-size chunks), and partial accumulators are merged
-in partition order, so the result is byte-identical for any thread count.
+series and closed-form backends can be asserted as equality.  The tree scan
+is a numpy pass with one row per tree, built bottom-up by the register rule;
+the path scan walks step prefixes in order.  Both run on the calling thread:
+their ``threads`` argument is accepted for compatibility and changes neither
+the result nor the work done.  Samplers draw fixed-size chunks from streams
+split off one seed, so their output depends on the seed alone.
 """
 
 import hashlib
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import asym
 from .errors import DomainError, ResourceCapError
 from .paths import STEPS, fringe_sizes
-from .trees import LEAF, Node, branch_counts
+from .trees import LEAF, Node
 
 __all__ = [
     "TREE_CAP",
@@ -104,8 +105,8 @@ class SeededGenerator:
 def enumerate_trees(n, cap=TREE_CAP, left_size=None):
     """All binary trees with n internal nodes, deterministic order.
 
-    left_size restricts to trees whose root has that left-subtree size,
-    which is the partitioning used by the parallel scan.
+    left_size restricts to trees whose root has that left-subtree size;
+    tree_stats builds its rows in the same blocks and order.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -132,14 +133,6 @@ def enumerate_paths(n, cap=PATH_CAP, prefix=""):
         yield prefix + "".join(tail)
 
 
-def _run_chunks(worker, chunks, threads):
-    """Evaluate worker over chunks, merging results in chunk order."""
-    if threads <= 1:
-        return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
-
-
 @dataclass
 class TreeStats:
     n: int
@@ -148,37 +141,100 @@ class TreeStats:
     register_hist: dict
 
 
+# upper bound on the rows of one block of trees (and of its temporaries)
+_BLOCK_ROWS = 1 << 20
+
+
+def _tree_blocks(k, regs, cnts, max_rows=_BLOCK_ROWS):
+    """Root registers and branch-count rows of the size-k trees.
+
+    regs[i] / cnts[i] hold the rows of the size-i trees for every i < k.
+    cnts[i] has more columns than log2(k + 1), the largest register of a
+    size-k tree.  Yields (reg, cnt) blocks of at most max_rows rows whose
+    concatenation is in enumerate_trees order: left-subtree size, then
+    left index, then right index.  Node(a, b) gets
+    counts(a) + counts(b) + [reg a = reg b] e_{reg a + 1} and register
+    reg a + 1 if reg a = reg b, else max(reg a, reg b).
+    """
+    width = cnts[0].shape[1]
+    for i in range(k):
+        left_reg, left_cnt = regs[i], cnts[i]
+        right_reg, right_cnt = regs[k - 1 - i], cnts[k - 1 - i]
+        rstep = min(len(right_reg), max_rows)
+        lstep = max(1, max_rows // len(right_reg))
+        for a in range(0, len(left_reg), lstep):
+            rl = left_reg[a : a + lstep, None]
+            lc = left_cnt[a : a + lstep, None, :]
+            for b in range(0, len(right_reg), rstep):
+                rr = right_reg[None, b : b + rstep]
+                eq = rl == rr
+                reg = np.where(eq, rl + 1, np.maximum(rl, rr))
+                cnt = lc + right_cnt[None, b : b + rstep, :]
+                for c in range(1, width):
+                    cnt[:, :, c] += eq & (reg == c)
+                yield reg.ravel(), cnt.reshape(-1, width)
+
+
+def _tree_tables(n, width):
+    """Rows of every tree of each size 0..n-1, in enumerate_trees order.
+
+    Size 0, the leaf, is always included.  Returns lists regs, cnts:
+    regs[k] is the int8 root register of each size-k tree, cnts[k] its
+    int8 branch counts zero-padded to width columns.  width must exceed
+    the largest register, log2(n) rounded down.
+    """
+    regs = [np.zeros(1, dtype=np.int8)]
+    cnts = [np.zeros((1, width), dtype=np.int8)]
+    cnts[0][0, 0] = 1  # a leaf is one 0-branch
+    for k in range(1, n):
+        rows = sum(len(regs[i]) * len(regs[k - 1 - i]) for i in range(k))
+        reg = np.empty(rows, dtype=np.int8)
+        cnt = np.empty((rows, width), dtype=np.int8)
+        at = 0
+        for block_reg, block_cnt in _tree_blocks(k, regs, cnts):
+            reg[at : at + len(block_reg)] = block_reg
+            cnt[at : at + len(block_reg)] = block_cnt
+            at += len(block_reg)
+        regs.append(reg)
+        cnts.append(cnt)
+    return regs, cnts
+
+
+def _fold(acc, values):
+    """Add every entry of a nonnegative integer array to acc, by histogram."""
+    for x, weight in enumerate(np.bincount(values).tolist()):
+        if weight:
+            acc.add(x, weight)
+
+
 def tree_stats(n, r_max=None, threads=1, cap=TREE_CAP):
-    """Exact branch statistics over all trees of size n."""
+    """Exact branch statistics over all trees of size n.
+
+    Every tree is one row of an exhaustive numpy scan; threads is accepted
+    for compatibility and ignored.
+    """
+    if n < 0:
+        raise DomainError("n must be nonnegative")
     if n > cap:
         raise ResourceCapError(f"tree enumeration capped at n = {cap}")
     if r_max is None:
         r_max = max((n + 1).bit_length() - 1, 1)
-
-    def scan(left_size):
-        per_r = [StatAccumulator() for _ in range(r_max + 1)]
-        total = StatAccumulator()
-        hist = {}
-        for t in enumerate_trees(n, cap=cap, left_size=left_size):
-            bc = branch_counts(t)
-            reg = len(bc.counts) - 1
-            hist[reg] = hist.get(reg, 0) + 1
-            for r in range(r_max + 1):
-                per_r[r].add(bc.counts[r] if r < len(bc.counts) else 0)
-            total.add(bc.total)
-        return per_r, total, hist
-
-    chunks = [None] if n == 0 else list(range(n))
+    width = (n + 1).bit_length()  # registers of size-n trees are <= log2(n+1)
     per_r = [StatAccumulator() for _ in range(r_max + 1)]
     total = StatAccumulator()
-    hist = {}
-    for part_r, part_total, part_hist in _run_chunks(scan, chunks, threads):
-        for acc, part in zip(per_r, part_r):
-            acc.merge(part)
-        total.merge(part_total)
-        for k, v in part_hist.items():
-            hist[k] = hist.get(k, 0) + v
-    return TreeStats(n, per_r, total, hist)
+    hist = np.zeros(width, dtype=np.int64)
+    regs, cnts = _tree_tables(n, width)
+    blocks = _tree_blocks(n, regs, cnts) if n else [(regs[0], cnts[0])]
+    for reg, cnt in blocks:
+        for r, acc in enumerate(per_r):
+            if r < width:
+                _fold(acc, cnt[:, r])
+            else:
+                acc.add(0, len(reg))
+        _fold(total, cnt.sum(axis=1))
+        hist += np.bincount(reg, minlength=width)
+    register_hist = {r: c for r, c in enumerate(hist.tolist()) if c}
+    return TreeStats(n, per_r, total, register_hist)
 
 
 @dataclass
@@ -191,7 +247,11 @@ class PathStats:
 
 
 def path_stats(n, r_max=None, threads=1, cap=PATH_CAP):
-    """Exact reduction-degree and fringe statistics over all length-n paths."""
+    """Exact reduction-degree and fringe statistics over all length-n paths.
+
+    The paths are scanned per step prefix, in order, on the calling
+    thread; threads is accepted for compatibility and ignored.
+    """
     if n > cap:
         raise ResourceCapError(f"path enumeration capped at n = {cap}")
     if r_max is None:
@@ -218,7 +278,7 @@ def path_stats(n, r_max=None, threads=1, cap=PATH_CAP):
     rdeg_acc = StatAccumulator()
     per_r = [StatAccumulator() for _ in range(r_max + 1)]
     total = StatAccumulator()
-    for part_hist, part_deg, part_r, part_total in _run_chunks(scan, chunks, threads):
+    for part_hist, part_deg, part_r, part_total in map(scan, chunks):
         for k, v in part_hist.items():
             rdeg_hist[k] = rdeg_hist.get(k, 0) + v
         rdeg_acc.merge(part_deg)

@@ -136,6 +136,28 @@ class TestTable:
         want = float(exact.expected_total_branches(1024))
         assert abs(float(out) - want) < 0.01
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("r-branches-mean", "--n", "4"), "--r"),
+            (("fringe-mean", "--n", "4"), "--r"),
+            (("rdeg-mean",), "--n"),
+            (("rdeg-dist",), "--n"),
+        ],
+    )
+    def test_missing_argument_is_domain_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, "table", *argv)
+        assert (code, out) == (3, "")
+        assert err == f"redcalc: table {argv[0]} needs {flag}\n"
+
+    def test_bad_threads_env_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REDCALC_THREADS", "abc")
+        code, out, err = run(
+            capsys, "table", "r-branches-mean", "--n", "4", "--r", "1"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("redcalc: REDCALC_THREADS") and err.count("\n") == 1
+
     def test_oracle_respects_cap(self, capsys):
         code, _, err = run(
             capsys, "table", "rdeg-mean",
@@ -181,6 +203,13 @@ class TestFigure:
             "--x-min", "9", "--x-max", "10", "--points", "3",
         )
         assert code == 5
+
+    def test_single_point_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "figure", "branches-fluctuation", "--points", "1"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("redcalc: ") and err.count("\n") == 1
 
 
 class TestOut:

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from redcalc import exact, oracle
 from redcalc.errors import DomainError, ResourceCapError
@@ -20,7 +24,31 @@ from redcalc.oracle import (
     tree_stats,
 )
 from redcalc.paths import rdeg
-from redcalc.trees import format_tree, register, tree_size
+from redcalc.trees import (
+    LEAF,
+    Node,
+    branch_counts,
+    format_tree,
+    register,
+    tree_size,
+)
+
+
+def reference_tree_stats(n, r_max=None):
+    """Per-Node scan over enumerate_trees, the object-level reference."""
+    if r_max is None:
+        r_max = max((n + 1).bit_length() - 1, 1)
+    per_r = [StatAccumulator() for _ in range(r_max + 1)]
+    total = StatAccumulator()
+    hist = {}
+    for t in enumerate_trees(n):
+        bc = branch_counts(t)
+        reg = len(bc.counts) - 1
+        hist[reg] = hist.get(reg, 0) + 1
+        for r in range(r_max + 1):
+            per_r[r].add(bc.counts[r] if r < len(bc.counts) else 0)
+        total.add(bc.total)
+    return oracle.TreeStats(n, per_r, total, hist)
 
 
 class TestAccumulator:
@@ -91,6 +119,8 @@ class TestEnumeration:
             list(enumerate_trees(-1))
         with pytest.raises(DomainError):
             list(enumerate_paths(0))
+        with pytest.raises(DomainError):
+            tree_stats(-1)
 
 
 class TestTreeStats:
@@ -124,6 +154,93 @@ class TestTreeStats:
 
     def test_threads_deterministic(self):
         assert tree_stats(8, threads=1) == tree_stats(8, threads=4)
+
+
+class TestTreeScan:
+    def test_table_rows_match_enumeration(self):
+        width = 4
+        regs, cnts = oracle._tree_tables(10, width)
+        for n in range(10):
+            want = [
+                (register(t), _padded(branch_counts(t).counts, width))
+                for t in enumerate_trees(n)
+            ]
+            got = list(zip(regs[n].tolist(), map(tuple, cnts[n].tolist())))
+            assert got == want
+
+    def test_small_blocks_keep_order(self):
+        regs, cnts = oracle._tree_tables(7, 4)
+        whole = list(oracle._tree_blocks(7, regs, cnts))
+        small = list(oracle._tree_blocks(7, regs, cnts, max_rows=5))
+        assert max(len(reg) for reg, _ in small) <= 5
+        for i in (0, 1):
+            joined = np.concatenate([block[i] for block in small])
+            assert (joined == np.concatenate([block[i] for block in whole])).all()
+
+    @pytest.mark.parametrize("r_max", [None, 1, 2, 3])
+    def test_matches_reference_loop(self, r_max):
+        for n in range(12):
+            assert tree_stats(n, r_max=r_max) == reference_tree_stats(n, r_max)
+
+    def test_size_zero(self):
+        st = tree_stats(0)
+        assert st == reference_tree_stats(0)
+        assert st.register_hist == {0: 1}
+        assert (st.per_r[0].min, st.per_r[0].max, st.per_r[1].max) == (1, 1, 0)
+
+    def test_cap_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                tree_stats(40)
+            with pytest.raises(ResourceCapError):
+                tree_stats(12, cap=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_cap_size_fits_memory_budget(self):
+        tracemalloc.start()
+        try:
+            st = tree_stats(15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.total.count == 9694845
+        assert peak < 64 * 2**20
+
+
+def _padded(counts, width):
+    return tuple(counts) + (0,) * (width - len(counts))
+
+
+_sizes = strategies.integers(min_value=0, max_value=200)
+_seeds = strategies.integers(min_value=0, max_value=2**64 - 1)
+
+
+def _random_tree(n, seed):
+    return LEAF if n == 0 else sample_tree(n, SeededGenerator(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sizes, _seeds, _sizes, _seeds)
+def test_register_rule(n_a, seed_a, n_b, seed_b):
+    a, b = _random_tree(n_a, seed_a), _random_tree(n_b, seed_b)
+    ra, rb = register(a), register(b)
+    width = max(ra, rb) + 2
+    want = [
+        x + y
+        for x, y in zip(
+            _padded(branch_counts(a).counts, width),
+            _padded(branch_counts(b).counts, width),
+        )
+    ]
+    if ra == rb:
+        want[ra + 1] += 1
+    t = Node(a, b)
+    assert register(t) == (ra + 1 if ra == rb else max(ra, rb))
+    assert _padded(branch_counts(t).counts, width) == tuple(want)
 
 
 class TestPathStats:
