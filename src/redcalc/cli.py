@@ -126,42 +126,67 @@ def _poly_in_v(row):
 
 
 def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
-    """Exact value of one scalar quantity per backend name."""
-    out = {}
+    """One zero-argument function per applicable backend name, each
+    computing the exact value of one scalar quantity.
+
+    The domain is checked here, with the exact backend's messages, since
+    a request may compute only one backend.
+    """
     if quantity == "r-branches-mean":
-        out["exact"] = exact.expected_r_branches(n, r)
-        order = max(n, 1)
-        cat = series.catalan(n)
-        out["series"] = Fraction(series.f1_series(r, order)[n], cat)
+        if n < 0 or r < 0:
+            raise DomainError("n and r must be nonnegative")
+        out = {
+            "exact": lambda: exact.expected_r_branches(n, r),
+            "series": lambda: Fraction(
+                series.f1_series(r, max(n, 1))[n], series.catalan(n)
+            ),
+        }
         if n <= cap_trees:
-            st = oracle.tree_stats(n, r_max=r, threads=threads, cap=cap_trees)
-            out["oracle"] = st.per_r[r].mean()
+            out["oracle"] = lambda: oracle.tree_stats(
+                n, r_max=r, threads=threads, cap=cap_trees
+            ).per_r[r].mean()
     elif quantity == "branches-total-mean":
-        out["exact"] = exact.expected_total_branches(n)
-        out["series"] = Fraction(
-            series.branch_total_series(max(n, 1))[n], series.catalan(n)
-        )
+        if n < 0:
+            raise DomainError("n must be nonnegative")
+        out = {
+            "exact": lambda: exact.expected_total_branches(n),
+            "series": lambda: Fraction(
+                series.branch_total_series(max(n, 1))[n], series.catalan(n)
+            ),
+        }
         if n <= cap_trees:
-            st = oracle.tree_stats(n, threads=threads, cap=cap_trees)
-            out["oracle"] = st.total.mean()
+            out["oracle"] = lambda: oracle.tree_stats(
+                n, threads=threads, cap=cap_trees
+            ).total.mean()
     elif quantity == "rdeg-mean":
-        out["exact"] = exact.expected_rdeg(n)
+        if n < 1:
+            raise DomainError("need n >= 1")
+        out = {"exact": lambda: exact.expected_rdeg(n)}
         if n <= cap_paths:
-            st = oracle.path_stats(n, threads=threads, cap=cap_paths)
-            out["oracle"] = st.rdeg.mean()
+            out["oracle"] = lambda: oracle.path_stats(
+                n, threads=threads, cap=cap_paths
+            ).rdeg.mean()
     elif quantity == "fringe-mean":
-        out["exact"] = exact.expected_fringe(n, r)
-        out["series"] = Fraction(
-            series.fringe_moment_series(r, max(n, 1))[n], 4**n
-        )
+        if n < 1 or r < 0:
+            raise DomainError("need n >= 1 and r >= 0")
+        out = {
+            "exact": lambda: exact.expected_fringe(n, r),
+            "series": lambda: Fraction(
+                series.fringe_moment_series(r, max(n, 1))[n], 4**n
+            ),
+        }
         if n <= cap_paths:
-            st = oracle.path_stats(n, r_max=r, threads=threads, cap=cap_paths)
-            out["oracle"] = st.per_r[r].mean()
+            out["oracle"] = lambda: oracle.path_stats(
+                n, r_max=r, threads=threads, cap=cap_paths
+            ).per_r[r].mean()
     elif quantity == "fringe-total-mean":
-        out["exact"] = exact.expected_total_fringe(n)
+        if n < 1:
+            raise DomainError("need n >= 1")
+        out = {"exact": lambda: exact.expected_total_fringe(n)}
         if n <= cap_paths:
-            st = oracle.path_stats(n, threads=threads, cap=cap_paths)
-            out["oracle"] = st.total.mean()
+            out["oracle"] = lambda: oracle.path_stats(
+                n, threads=threads, cap=cap_paths
+            ).total.mean()
     else:
         raise RedcalcError(f"unknown quantity {quantity!r}")
     return out
@@ -191,6 +216,8 @@ def cmd_table(args):
         raise DomainError(f"table {args.quantity} needs --n")
     if args.quantity in _NEEDS_R and args.r is None:
         raise DomainError(f"table {args.quantity} needs --r")
+    if args.order < 0:
+        raise DomainError(f"--order must be nonnegative, got {args.order}")
     if args.quantity == "series-coefficients":
         r = args.r if args.r is not None else 1
         order = args.order
@@ -242,21 +269,21 @@ def cmd_table(args):
         value = _asymptotic_value(args.quantity, n, r, args.terms)
         _emit(args, f"{value!r}\n")
         return 0
-    values = _quantity_backends(
+    backends = _quantity_backends(
         args.quantity, n, r, threads, args.cap_trees, args.cap_paths
     )
     if args.check:
-        distinct = set(values.values())
-        if len(distinct) > 1:
+        values = {name: compute() for name, compute in backends.items()}
+        if len(set(values.values())) > 1:
             raise MismatchError(
                 f"backend mismatch for {args.quantity} at n={n}, r={r}: "
                 + ", ".join(f"{k}={v}" for k, v in values.items())
             )
-    if args.method not in values:
+    if args.method not in backends:
         raise RedcalcError(
-            f"backend {args.method!r} not applicable (have {sorted(values)})"
+            f"backend {args.method!r} not applicable (have {sorted(backends)})"
         )
-    q = values[args.method]
+    q = values[args.method] if args.check else backends[args.method]()
     if args.format == "csv":
         lines = ["quantity,n,r,numerator,denominator,value"]
         lines.append(
@@ -371,10 +398,18 @@ def _verify_identities(order):
     return None
 
 
-def _verify_three_way(tree_max, path_max, threads):
-    for n in range(tree_max + 1):
-        st = oracle.tree_stats(n, threads=threads)
-        cat = series.catalan(n)
+def _oracle_stats(tree_max, path_max, threads):
+    """Exhaustive statistics of every tree size 0..tree_max and every path
+    length 1..path_max, each scanned once and shared by the verify groups."""
+    trees = {n: oracle.tree_stats(n, threads=threads) for n in range(tree_max + 1)}
+    paths = {
+        n: oracle.path_stats(n, threads=threads) for n in range(1, path_max + 1)
+    }
+    return trees, paths
+
+
+def _verify_three_way(trees, paths):
+    for n, st in trees.items():
         order = max(n, 1)
         for r, acc in enumerate(st.per_r):
             if acc.total != series.f1_series(r, order)[n]:
@@ -390,8 +425,7 @@ def _verify_three_way(tree_max, path_max, threads):
         for r, count in st.register_hist.items():
             if series.b_r_equal_series(r, order)[n] != count:
                 return f"register histogram mismatch at n={n}, r={r}"
-    for n in range(1, path_max + 1):
-        st = oracle.path_stats(n, threads=threads)
+    for n, st in paths.items():
         order = max(n, 1)
         for r, count in st.rdeg_hist.items():
             if exact.count_paths_rdeg(n, r) != count:
@@ -413,9 +447,8 @@ def _verify_three_way(tree_max, path_max, threads):
     return None
 
 
-def _verify_bounds(tree_max, path_max, extremal_max, threads):
-    for n in range(tree_max + 1):
-        st = oracle.tree_stats(n, threads=threads)
+def _verify_bounds(trees, paths, extremal_max):
+    for n, st in trees.items():
         for r, acc in enumerate(st.per_r):
             if r == 0:
                 if not (acc.min == acc.max == n + 1):
@@ -430,8 +463,7 @@ def _verify_bounds(tree_max, path_max, extremal_max, threads):
             return f"total branch lower bound not sharp at n={n}"
         if st.total.max != 2 * n + 2 - w2:
             return f"total branch upper bound not sharp at n={n}"
-    for n in range(1, path_max + 1):
-        st = oracle.path_stats(n, threads=threads)
+    for n, st in paths.items():
         if st.rdeg.min != (1 if n > 1 else 0):
             return f"rdeg lower bound not sharp at n={n}"
         if st.rdeg.max != n.bit_length() - 1:
@@ -514,19 +546,13 @@ def cmd_verify(args):
             order=32, tree_max=8, path_max=7, extremal_max=512,
             clt_samples=20000, clt_n=200,
         )
+    trees, paths = _oracle_stats(scale["tree_max"], scale["path_max"], threads)
     groups = [
         ("identities", lambda: _verify_identities(scale["order"])),
-        (
-            "three-way-cross-validation",
-            lambda: _verify_three_way(
-                scale["tree_max"], scale["path_max"], threads
-            ),
-        ),
+        ("three-way-cross-validation", lambda: _verify_three_way(trees, paths)),
         (
             "bounds-and-sharpness",
-            lambda: _verify_bounds(
-                scale["tree_max"], scale["path_max"], scale["extremal_max"], threads
-            ),
+            lambda: _verify_bounds(trees, paths, scale["extremal_max"]),
         ),
         ("asymptotic-residuals", _verify_residuals),
         (

@@ -3,10 +3,12 @@
 Enumeration keeps every statistic as exact integers, so agreement with the
 series and closed-form backends can be asserted as equality.  The tree scan
 is a numpy pass with one row per tree, built bottom-up by the register rule;
-the path scan walks step prefixes in order.  Both run on the calling thread:
-their ``threads`` argument is accepted for compatibility and changes neither
-the result nor the work done.  Samplers draw fixed-size chunks from streams
-split off one seed, so their output depends on the seed alone.
+the path scan is a numpy pass with one row of step codes per path, reduced
+block by block by one kernel that the fringe sampler shares.  Both scans run
+on the calling thread: their ``threads`` argument is accepted for
+compatibility and changes neither the result nor the work done.  Samplers
+draw fixed-size chunks from streams split off one seed, so their output
+depends on the seed alone.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import asym
 from .errors import DomainError, ResourceCapError
-from .paths import STEPS, fringe_sizes
+from .paths import _COLLAPSE, STEPS
 from .trees import LEAF, Node
 
 __all__ = [
@@ -246,45 +248,115 @@ class PathStats:
     total: StatAccumulator
 
 
+# upper bound on the cells (rows x steps) of one block of path codes
+_BLOCK_CELLS = 1 << 14
+
+
+def _collapse_codes():
+    """paths._COLLAPSE over step codes, indexed by 4 * first H + first V."""
+    table = np.zeros(16, dtype=np.uint8)
+    for (h, v), step in _COLLAPSE.items():
+        table[4 * STEPS.index(h) + STEPS.index(v)] = STEPS.index(step)
+    return table
+
+
+_COLLAPSE_CODES = _collapse_codes()
+
+
+def _size_dtype(n):
+    """Integer type of path lengths and fringe sizes up to n."""
+    return np.int16 if n < 2**15 else np.int32
+
+
+def _reduce_rows(codes, lens):
+    """Apply reduce_path to every row of a block of paths, in place.
+
+    codes holds one path per row as uint8 step codes, the indices into
+    STEPS, so a step is vertical exactly when its code is even and adding
+    1 mod 4 rotates it clockwise.  Row i is its first lens[i] codes; the
+    rest is padding.  Returns the reduced lengths, which are 0 for rows of
+    length 0 or 1.  After the rotations a row is a sequence of H+V+
+    segments, and the k-th segment opens with the k-th horizontal step
+    that starts the row or follows a vertical one; its first vertical step
+    is the k-th vertical step that follows a horizontal one.
+    """
+    col = np.arange(codes.shape[1], dtype=lens.dtype)
+    codes += (codes[:, :1] & 1) ^ 1  # rows that start vertically
+    codes &= 3
+    last = col == (lens - 1)[:, None]
+    tail = codes[last]
+    codes[last] = (tail + (tail & 1)) & 3  # a horizontal last step
+    horiz = (codes & 1).view(bool)
+    valid = col < lens[:, None]
+    hstart = horiz & valid
+    vstart = valid & ~horiz
+    turn = horiz[:, 1:] != horiz[:, :-1]
+    hstart[:, 1:] &= turn
+    vstart[:, 1:] &= turn
+    vstart[:, 0] = False
+    steps = _COLLAPSE_CODES[(codes[hstart] << 2) | codes[vstart]]
+    lens = hstart.sum(axis=1, dtype=lens.dtype)
+    codes[col < lens[:, None]] = steps
+    return lens
+
+
+def _fringe_table(codes, lens, depth):
+    """Sizes of fringes 0..depth of each row of codes, one column each.
+
+    A fringe beyond the row's reduction degree has size 0.  The rows are
+    reduced in place.  depth must not exceed log2 of the widest row.
+    """
+    table = np.empty((len(codes), depth + 1), dtype=lens.dtype)
+    table[:, 0] = lens
+    for r in range(1, depth + 1):
+        lens = _reduce_rows(codes, lens)
+        codes = codes[:, : codes.shape[1] // 2]  # a reduction halves at least
+        table[:, r] = lens
+    return table
+
+
+def _path_codes(n, first, count):
+    """Step codes of the length-n paths first .. first + count - 1 of
+    enumerate_paths order: path i has the base-4 digits of i, first step
+    most significant."""
+    index = np.arange(first, first + count)
+    shifts = np.arange(2 * n - 2, -1, -2)
+    return ((index[:, None] >> shifts) & 3).astype(np.uint8)
+
+
 def path_stats(n, r_max=None, threads=1, cap=PATH_CAP):
     """Exact reduction-degree and fringe statistics over all length-n paths.
 
-    The paths are scanned per step prefix, in order, on the calling
-    thread; threads is accepted for compatibility and ignored.
+    Every path is one row of an exhaustive numpy scan in enumerate_paths
+    order, reduced block by block; threads is accepted for compatibility
+    and ignored.
     """
+    if n < 1:
+        raise DomainError("paths are nonempty")
     if n > cap:
         raise ResourceCapError(f"path enumeration capped at n = {cap}")
     if r_max is None:
         r_max = max(n.bit_length() - 1, 1)
-
-    def scan(prefix):
-        rdeg_hist = {}
-        rdeg_acc = StatAccumulator()
-        per_r = [StatAccumulator() for _ in range(r_max + 1)]
-        total = StatAccumulator()
-        for p in enumerate_paths(n, cap=cap, prefix=prefix):
-            sizes = fringe_sizes(p)
-            d = len(sizes) - 1
-            rdeg_hist[d] = rdeg_hist.get(d, 0) + 1
-            rdeg_acc.add(d)
-            for r in range(r_max + 1):
-                per_r[r].add(sizes[r] if r < len(sizes) else 0)
-            total.add(sum(sizes))
-        return rdeg_hist, rdeg_acc, per_r, total
-
-    width = 2 if n >= 2 else 1
-    chunks = ["".join(c) for c in itertools.product(STEPS, repeat=width)]
-    rdeg_hist = {}
+    depth = n.bit_length() - 1  # the largest reduction degree, log2 n
     rdeg_acc = StatAccumulator()
     per_r = [StatAccumulator() for _ in range(r_max + 1)]
     total = StatAccumulator()
-    for part_hist, part_deg, part_r, part_total in map(scan, chunks):
-        for k, v in part_hist.items():
-            rdeg_hist[k] = rdeg_hist.get(k, 0) + v
-        rdeg_acc.merge(part_deg)
-        for acc, part in zip(per_r, part_r):
-            acc.merge(part)
-        total.merge(part_total)
+    hist = np.zeros(depth + 1, dtype=np.int64)
+    rows = max(1, _BLOCK_CELLS // n)
+    for first in range(0, 4**n, rows):
+        codes = _path_codes(n, first, min(rows, 4**n - first))
+        lens = np.full(len(codes), n, dtype=_size_dtype(n))
+        table = _fringe_table(codes, lens, depth)
+        rdeg = np.count_nonzero(table, axis=1) - 1
+        _fold(rdeg_acc, rdeg)
+        hist += np.bincount(rdeg, minlength=depth + 1)
+        for r, acc in enumerate(per_r):
+            if r <= depth:
+                _fold(acc, table[:, r])
+            else:
+                acc.add(0, len(table))
+        _fold(total, table.sum(axis=1))
+    rdeg_hist = {d: c for d, c in enumerate(hist.tolist()) if c}
     return PathStats(n, rdeg_hist, rdeg_acc, per_r, total)
 
 
@@ -346,8 +418,11 @@ def sample_cherry_counts(n, samples, gen, batch=5000):
     """Cherry counts (= 1-branch counts) of uniform size-n trees.
 
     Runs Remy's construction for whole batches in lockstep with vectorized
-    updates; only the per-node leaf-children counts are tracked, which is
-    all the cherry statistic needs.
+    updates, numbering nodes as _sample_tree_rng does: step k adds internal
+    node 2k + 1 and leaf 2k + 2, so leaves are the even ids.  The cherry
+    count only reads the parents of leaves, so a sample keeps just the
+    parent of each leaf id / 2 and the leaf-children count of each internal
+    node (id - 1) / 2, both by internal-node number.
     """
     if n < 1:
         raise DomainError("need n >= 1")
@@ -358,55 +433,51 @@ def sample_cherry_counts(n, samples, gen, batch=5000):
         size = min(batch, samples - done)
         rng = gen.split(f"cherries:{chunk_no}").numpy_rng()
         rows = np.arange(size)
-        parent = np.full((size, 2 * n + 1), -1, dtype=np.int32)
-        is_leaf = np.zeros((size, 2 * n + 1), dtype=bool)
-        is_leaf[:, 0] = True
-        leaf_kids = np.zeros((size, 2 * n + 1), dtype=np.int8)
+        leaf_parent = np.full((size, n + 1), -1, dtype=_size_dtype(n))
+        leaf_kids = np.zeros((size, n), dtype=np.int8)
         cherries = np.zeros(size, dtype=np.int64)
         for k in range(n):
-            m = 2 * k + 1
-            v = rng.integers(0, m, size=size)
+            v = rng.integers(0, 2 * k + 1, size=size)
             rng.integers(0, 2, size=size)  # orientation; cherry count ignores it
-            u, w = m, m + 1
-            v_leaf = is_leaf[rows, v]
-            p = parent[rows, v]
-            parent[rows, u] = p
-            parent[rows, v] = u
-            parent[rows, w] = u
-            is_leaf[rows, w] = True
-            leaf_kids[rows, u] = np.where(v_leaf, 2, 1)
+            v_leaf = (v & 1) == 0
+            leaf_parent[:, k + 1] = k
+            leaf_kids[:, k] = np.where(v_leaf, 2, 1)
             cherries += v_leaf
-            # a leaf that gains a parent stops being a leaf child of p
-            fix = v_leaf & (p >= 0)
-            if fix.any():
-                fr, fp = rows[fix], p[fix]
-                old = leaf_kids[fr, fp]
-                cherries[fix] -= old == 2
-                leaf_kids[fr, fp] = old - 1
+            # a leaf v moves below node k and stops being a leaf child of
+            # its old parent p
+            fr, fv = rows[v_leaf], v[v_leaf] >> 1
+            p = leaf_parent[fr, fv]
+            leaf_parent[fr, fv] = k
+            fix = p >= 0
+            fr, fp = fr[fix], p[fix]
+            old = leaf_kids[fr, fp]
+            cherries[fr] -= old == 2
+            leaf_kids[fr, fp] = old - 1
         out[done : done + size] = cherries
         done += size
         chunk_no += 1
     return out
 
 
-_STEP_LUT = np.frombuffer(STEPS.encode(), dtype=np.uint8)
-
-
 def sample_fringe_sizes(n, r, samples, gen, batch=5000):
     """Sizes of the r-th fringe of uniform length-n paths."""
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
-    out = np.empty(samples, dtype=np.int64)
+    out = np.zeros(samples, dtype=np.int64)
+    rows = max(1, _BLOCK_CELLS // n)
     done = 0
     chunk_no = 0
     while done < samples:
         size = min(batch, samples - done)
         rng = gen.split(f"fringes:{chunk_no}").numpy_rng()
         codes = rng.integers(0, 4, size=(size, n), dtype=np.uint8)
-        for i in range(size):
-            p = _STEP_LUT[codes[i]].tobytes().decode()
-            sizes = fringe_sizes(p)
-            out[done + i] = sizes[r] if r < len(sizes) else 0
+        if r < n.bit_length():  # else every r-th fringe is empty
+            for a in range(0, size, rows):
+                block = codes[a : a + rows]
+                lens = np.full(len(block), n, dtype=_size_dtype(n))
+                out[done + a : done + a + len(block)] = _fringe_table(
+                    block, lens, r
+                )[:, r]
         done += size
         chunk_no += 1
     return out

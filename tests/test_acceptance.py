@@ -89,7 +89,7 @@ def test_criterion_2_identities():
 def test_criterion_3_three_way_cross_validation():
     start = time.perf_counter()
     failures = []
-    problem = cli._verify_three_way(12, 10, THREADS)
+    problem = cli._verify_three_way(*cli._oracle_stats(12, 10, THREADS))
     if problem:
         failures.append(problem)
     _verdict(3, "three-way cross-validation", failures, time.perf_counter() - start, 300)
@@ -98,7 +98,7 @@ def test_criterion_3_three_way_cross_validation():
 def test_criterion_4_bounds_and_sharpness():
     start = time.perf_counter()
     failures = []
-    problem = cli._verify_bounds(12, 10, 4096, THREADS)
+    problem = cli._verify_bounds(*cli._oracle_stats(12, 10, THREADS), 4096)
     if problem:
         failures.append(problem)
     _verdict(4, "bounds, sharpness, extremal objects", failures, time.perf_counter() - start, 120)

@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from redcalc import oracle
 from redcalc.cli import main
 
 
@@ -158,6 +159,38 @@ class TestTable:
         assert (code, out) == (3, "")
         assert err.startswith("redcalc: REDCALC_THREADS") and err.count("\n") == 1
 
+    def test_negative_order_is_domain_error(self, capsys):
+        for family in ("B", "H"):
+            code, out, err = run(
+                capsys, "table", "series-coefficients",
+                "--family", family, "--order", "-1",
+            )
+            assert (code, out) == (3, "")
+            assert err == "redcalc: --order must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("r-branches-mean", "--n", "7", "--r", "1"),
+            ("branches-total-mean", "--n", "7"),
+            ("rdeg-mean", "--n", "7"),
+            ("fringe-mean", "--n", "7", "--r", "2"),
+            ("fringe-total-mean", "--n", "7"),
+        ],
+    )
+    def test_only_requested_backend_runs(self, capsys, monkeypatch, argv):
+        want = {}
+        for method in ("exact", "series"):
+            want[method] = run(capsys, "table", *argv, "--method", method)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("oracle scan without --method oracle")
+
+        monkeypatch.setattr(oracle, "tree_stats", no_scan)
+        monkeypatch.setattr(oracle, "path_stats", no_scan)
+        for method in ("exact", "series"):
+            assert run(capsys, "table", *argv, "--method", method) == want[method]
+
     def test_oracle_respects_cap(self, capsys):
         code, _, err = run(
             capsys, "table", "rdeg-mean",
@@ -238,6 +271,20 @@ class TestVerify:
         assert status["asymptotic-residuals"].startswith("FAIL")
         assert status["result"] == "FAIL"
         assert code == 1
+
+    def test_quick_scans_each_size_once(self, capsys, monkeypatch):
+        calls = {"tree_stats": [], "path_stats": []}
+        for name in calls:
+            scan = getattr(oracle, name)
+
+            def counted(n, *args, _scan=scan, _calls=calls[name], **kwargs):
+                _calls.append(n)
+                return _scan(n, *args, **kwargs)
+
+            monkeypatch.setattr(oracle, name, counted)
+        code, out, _ = run(capsys, "verify", "--quick", "--threads", "1")
+        assert calls == {"tree_stats": list(range(9)), "path_stats": list(range(1, 8))}
+        assert code == 1 and out.count("PASS") == 4
 
     def test_quick_deterministic_across_threads(self, capsys):
         _, a, _ = run(capsys, "verify", "--quick", "--seed", "7", "--threads", "1")

@@ -23,7 +23,7 @@ from redcalc.oracle import (
     sample_tree,
     tree_stats,
 )
-from redcalc.paths import rdeg
+from redcalc.paths import STEPS, fringe_sizes, rdeg
 from redcalc.trees import (
     LEAF,
     Node,
@@ -49,6 +49,92 @@ def reference_tree_stats(n, r_max=None):
             per_r[r].add(bc.counts[r] if r < len(bc.counts) else 0)
         total.add(bc.total)
     return oracle.TreeStats(n, per_r, total, hist)
+
+
+def reference_path_stats(n, r_max=None):
+    """Per-path scan over enumerate_paths, the string-level reference."""
+    if r_max is None:
+        r_max = max(n.bit_length() - 1, 1)
+    hist = {}
+    rdeg_acc = StatAccumulator()
+    per_r = [StatAccumulator() for _ in range(r_max + 1)]
+    total = StatAccumulator()
+    for p in enumerate_paths(n):
+        sizes = fringe_sizes(p)
+        d = len(sizes) - 1
+        hist[d] = hist.get(d, 0) + 1
+        rdeg_acc.add(d)
+        for r in range(r_max + 1):
+            per_r[r].add(sizes[r] if r < len(sizes) else 0)
+        total.add(sum(sizes))
+    return oracle.PathStats(n, hist, rdeg_acc, per_r, total)
+
+
+def reference_cherry_counts(n, samples, gen, batch=5000):
+    """Lockstep Remy sampler storing parent, is_leaf and leaf_kids for all
+    2n + 1 nodes; the same random draws as sample_cherry_counts."""
+    out = np.empty(samples, dtype=np.int64)
+    done = 0
+    chunk_no = 0
+    while done < samples:
+        size = min(batch, samples - done)
+        rng = gen.split(f"cherries:{chunk_no}").numpy_rng()
+        rows = np.arange(size)
+        parent = np.full((size, 2 * n + 1), -1, dtype=np.int32)
+        is_leaf = np.zeros((size, 2 * n + 1), dtype=bool)
+        is_leaf[:, 0] = True
+        leaf_kids = np.zeros((size, 2 * n + 1), dtype=np.int8)
+        cherries = np.zeros(size, dtype=np.int64)
+        for k in range(n):
+            m = 2 * k + 1
+            v = rng.integers(0, m, size=size)
+            rng.integers(0, 2, size=size)
+            u, w = m, m + 1
+            v_leaf = is_leaf[rows, v]
+            p = parent[rows, v]
+            parent[rows, u] = p
+            parent[rows, v] = u
+            parent[rows, w] = u
+            is_leaf[rows, w] = True
+            leaf_kids[rows, u] = np.where(v_leaf, 2, 1)
+            cherries += v_leaf
+            fix = v_leaf & (p >= 0)
+            if fix.any():
+                fr, fp = rows[fix], p[fix]
+                old = leaf_kids[fr, fp]
+                cherries[fix] -= old == 2
+                leaf_kids[fr, fp] = old - 1
+        out[done : done + size] = cherries
+        done += size
+        chunk_no += 1
+    return out
+
+
+def reference_fringe_sizes(n, r, samples, gen, batch=5000):
+    """fringe_sizes of each drawn path as a string; the same random draws
+    as sample_fringe_sizes."""
+    out = np.empty(samples, dtype=np.int64)
+    done = 0
+    chunk_no = 0
+    while done < samples:
+        size = min(batch, samples - done)
+        rng = gen.split(f"fringes:{chunk_no}").numpy_rng()
+        codes = rng.integers(0, 4, size=(size, n), dtype=np.uint8)
+        for i in range(size):
+            sizes = fringe_sizes("".join(STEPS[c] for c in codes[i]))
+            out[done + i] = sizes[r] if r < len(sizes) else 0
+        done += size
+        chunk_no += 1
+    return out
+
+
+def _codes(paths, pad=0):
+    """Step-code rows of the given paths, padded with the code pad."""
+    width = max(map(len, paths))
+    codes = np.full((len(paths), width), pad, dtype=np.uint8)
+    for i, p in enumerate(paths):
+        codes[i, : len(p)] = [STEPS.index(c) for c in p]
+    return codes
 
 
 class TestAccumulator:
@@ -121,6 +207,8 @@ class TestEnumeration:
             list(enumerate_paths(0))
         with pytest.raises(DomainError):
             tree_stats(-1)
+        with pytest.raises(DomainError):
+            path_stats(0)
 
 
 class TestTreeStats:
@@ -274,6 +362,73 @@ class TestPathStats:
         assert path_stats(6, threads=1) == path_stats(6, threads=4)
 
 
+class TestPathScan:
+    def test_codes_follow_enumeration_order(self):
+        for n in range(1, 6):
+            codes = oracle._path_codes(n, 0, 4**n)
+            assert (codes == _codes(list(enumerate_paths(n)))).all()
+        block = oracle._path_codes(5, 300, 17)
+        assert (block == oracle._path_codes(5, 0, 4**5)[300:317]).all()
+
+    def test_kernel_matches_fringe_sizes(self):
+        for n in range(1, 10):
+            table = oracle._fringe_table(
+                oracle._path_codes(n, 0, 4**n),
+                np.full(4**n, n, dtype=np.int16),
+                n.bit_length() - 1,
+            )
+            for p, row in zip(enumerate_paths(n), table.tolist()):
+                sizes = fringe_sizes(p)
+                assert row == sizes + [0] * (len(row) - len(sizes)), p
+
+    @pytest.mark.parametrize("r_max", [None, 0, 1, 2, 3, 5])
+    def test_matches_reference_loop(self, r_max):
+        for n in range(1, 9):
+            st = path_stats(n, r_max=r_max)
+            assert st == reference_path_stats(n, r_max)
+            assert list(st.rdeg_hist) == sorted(st.rdeg_hist)
+
+    def test_cap_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                path_stats(40)
+            with pytest.raises(DomainError):
+                path_stats(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_memory(self):
+        tracemalloc.start()
+        try:
+            st = path_stats(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.rdeg.count == 4**10
+        assert peak < 4 * 2**20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategies.lists(
+        strategies.text(alphabet=STEPS, min_size=1, max_size=300),
+        min_size=1,
+        max_size=6,
+    ),
+    strategies.integers(min_value=0, max_value=3),
+)
+def test_kernel_matches_fringe_sizes_property(paths, pad):
+    lens = np.array([len(p) for p in paths], dtype=np.int16)
+    depth = int(lens.max()).bit_length() - 1
+    table = oracle._fringe_table(_codes(paths, pad), lens, depth)
+    for p, row in zip(paths, table.tolist()):
+        sizes = fringe_sizes(p)
+        assert row == sizes + [0] * (len(row) - len(sizes))
+
+
 class TestGenerator:
     def test_split_is_stable_and_distinct(self):
         gen = SeededGenerator(42)
@@ -312,6 +467,27 @@ class TestSamplers:
         c = sample_fringe_sizes(30, 1, 100, gen)
         d = sample_fringe_sizes(30, 1, 100, SeededGenerator(5))
         assert (c == d).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 327])
+    def test_samplers_match_reference(self, n):
+        for seed in (0, 1, 2024):
+            gen = SeededGenerator(seed)
+            got = sample_cherry_counts(n, 60, gen, batch=25)
+            assert (got == reference_cherry_counts(n, 60, gen, batch=25)).all()
+            for r in (0, 1, 2, n.bit_length() - 1, n.bit_length() + 1):
+                got = sample_fringe_sizes(n, r, 60, gen, batch=25)
+                want = reference_fringe_sizes(n, r, 60, gen, batch=25)
+                assert (got == want).all()
+
+    def test_cherry_sampler_memory(self):
+        tracemalloc.start()
+        try:
+            vals = sample_cherry_counts(327, 1835, SeededGenerator(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vals) == 1835
+        assert peak < 4 * 2**20
 
     def test_cherry_counts_match_exhaustive_distribution(self):
         # n=4: X_{4;1} takes value 1 on 8 trees and 2 on 6 of the 14
