@@ -29,7 +29,6 @@ from .trees import (
 )
 from .paths import (
     parse_path,
-    format_path,
     reduce_path,
     rdeg,
     fringe,
@@ -58,7 +57,6 @@ __all__ = [
     "almost_complete",
     "chain_tree",
     "parse_path",
-    "format_path",
     "reduce_path",
     "rdeg",
     "fringe",

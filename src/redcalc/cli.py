@@ -4,19 +4,23 @@ Subcommands: tree / path (single-object reductions), table (exact and
 asymptotic quantities, optionally cross-checked between backends), figure
 (fluctuation CSV data), verify (the full invariant suite).
 
-Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 domain error,
-4 cross-backend mismatch, 5 resource cap.
+Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 domain error
+(including an --out file that cannot be written), 4 cross-backend mismatch,
+5 resource cap, 6 internal error (a bug; the traceback goes to stderr).
 """
 
 import argparse
 import math
 import os
 import sys
+import traceback
 from fractions import Fraction
+
+import numpy as np
 
 from . import asym, exact, oracle, series
 from .errors import DomainError, MismatchError, RedcalcError, ResourceCapError
-from .paths import fringe_sizes, parse_path, rdeg, reduce_path, extremal_path
+from .paths import fringe_sizes, parse_path, rdeg, reduce_path
 from .trees import (
     almost_complete,
     branch_counts,
@@ -27,6 +31,8 @@ from .trees import (
 )
 
 FIGURE_N_CAP = 100000
+
+EXIT_INTERNAL_ERROR = 6
 
 
 def _threads(args):
@@ -47,8 +53,11 @@ def _threads(args):
 
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise DomainError(f"cannot write {args.out}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -280,7 +289,7 @@ def cmd_table(args):
                 + ", ".join(f"{k}={v}" for k, v in values.items())
             )
     if args.method not in backends:
-        raise RedcalcError(
+        raise DomainError(
             f"backend {args.method!r} not applicable (have {sorted(backends)})"
         )
     q = values[args.method] if args.check else backends[args.method]()
@@ -487,10 +496,20 @@ def _verify_bounds(trees, paths, extremal_max):
         want = almost_complete(m // 2)
         if format_tree(got) != format_tree(want):
             return f"almost-complete reduction fails at m={m}"
-    for n in range(1, extremal_max + 1):
-        p = extremal_path(n)
-        if len(p) != n or (n > 1 and rdeg(p) != n.bit_length() - 1):
-            return f"extremal path fails at n={n}"
+    # the extremal paths of one bit length, reduced in row blocks; a
+    # length-n path has reduction degree at most log2 n = depth, so the
+    # table of fringes 0..depth shows whether it reaches that degree
+    for first, codes, lens in oracle._extremal_levels(extremal_max):
+        depth = first.bit_length() - 1
+        rows = max(1, oracle._BLOCK_CELLS // codes.shape[1])
+        for a in range(0, len(codes), rows):
+            block, block_lens = codes[a : a + rows], lens[a : a + rows]
+            n = first + a + np.arange(len(block))
+            table = oracle._fringe_table(block, block_lens, depth)
+            degree = np.count_nonzero(table, axis=1) - 1
+            bad = (block_lens != n) | (degree != depth)
+            if bad.any():
+                return f"extremal path fails at n={n[bad][0]}"
     return None
 
 
@@ -661,6 +680,10 @@ def main(argv=None):
     except RedcalcError as e:
         print(f"redcalc: {e}", file=sys.stderr)
         return e.exit_code
+    except Exception as e:
+        print(f"redcalc: internal error: {e!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

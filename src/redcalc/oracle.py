@@ -4,9 +4,11 @@ Enumeration keeps every statistic as exact integers, so agreement with the
 series and closed-form backends can be asserted as equality.  The tree scan
 is a numpy pass with one row per tree, built bottom-up by the register rule;
 the path scan is a numpy pass with one row of step codes per path, reduced
-block by block by one kernel that the fringe sampler shares.  Both scans run
-on the calling thread: their ``threads`` argument is accepted for
-compatibility and changes neither the result nor the work done.  Samplers
+block by block by one kernel that the fringe sampler and the extremal-path
+check share.  Both scans run on the calling thread: their ``threads``
+argument is accepted for compatibility and changes neither the result nor
+the work done.  The cherry sampler runs the Markov chain that the cherry
+count follows under Remy's leaf insertion, with no tree built.  Samplers
 draw fixed-size chunks from streams split off one seed, so their output
 depends on the seed alone.
 """
@@ -324,6 +326,46 @@ def _path_codes(n, first, count):
     return ((index[:, None] >> shifts) & 3).astype(np.uint8)
 
 
+def _extremal_levels(n_max):
+    """Step codes of extremal_path(n) for n = 1..n_max, one bit length at
+    a time.
+
+    Yields (first, codes, lens): row i of codes is the path for
+    n = first + i, built by extremal_path's double-and-add rule, and
+    lens[i] is the length the rule gives it.  Rows are padded to the
+    widest length of the level.  Each level is built from the one before
+    it before that one is yielded, so the caller may reduce the yielded
+    rows in place.
+    """
+    first = 1
+    codes = np.full((1, 1), STEPS.index("R"), dtype=np.uint8)
+    lens = np.ones(1, dtype=np.int64)
+    while first <= n_max:
+        count = min(first, n_max + 1 - first)
+        codes, lens = codes[:count], lens[:count]
+        # the children 2n and 2n + 1 of the rows n <= n_max / 2
+        half = max(0, min(count, n_max // 2 + 1 - first))
+        parent, plen = codes[:half], lens[:half]
+        width = 2 * codes.shape[1] + 1
+        pair = np.zeros((half, 2, width), dtype=np.uint8)
+        nxt = pair.reshape(2 * half, width)
+        # paths._EXPAND on codes: step c becomes h v, with h = R for R, D
+        # and L for U, L, which is 3 - (c + 1 & 2), and v = U for U, R and
+        # D for D, L, which is c & 2.  Both children start with it.
+        h, v = pair[:, :, 0:-1:2], pair[:, :, 1::2]
+        np.add(parent[:, None], 1, out=h)
+        h &= 2
+        np.subtract(3, h, out=h)
+        np.bitwise_and(parent[:, None], 2, out=v)
+        odd = 2 * np.arange(half) + 1
+        nxt[odd, 2 * plen] = nxt[odd, 2 * plen - 1]  # bit 1: the last
+        nxt[odd, 2 * plen - 1] = nxt[odd, 2 * plen - 2]  # h v becomes h h v
+        nlens = np.repeat(2 * plen, 2)
+        nlens[1::2] += 1
+        yield first, codes, lens
+        first, codes, lens = 2 * first, nxt, nlens
+
+
 def path_stats(n, r_max=None, threads=1, cap=PATH_CAP):
     """Exact reduction-degree and fringe statistics over all length-n paths.
 
@@ -417,12 +459,14 @@ def sample_path(n, gen):
 def sample_cherry_counts(n, samples, gen, batch=5000):
     """Cherry counts (= 1-branch counts) of uniform size-n trees.
 
-    Runs Remy's construction for whole batches in lockstep with vectorized
-    updates, numbering nodes as _sample_tree_rng does: step k adds internal
-    node 2k + 1 and leaf 2k + 2, so leaves are the even ids.  The cherry
-    count only reads the parents of leaves, so a sample keeps just the
-    parent of each leaf id / 2 and the leaf-children count of each internal
-    node (id - 1) / 2, both by internal-node number.
+    Runs the cherry count of Remy's construction as its own Markov chain
+    (Remy, RAIRO Inform. Theor. 19 (1985); McKenzie & Steel, Math. Biosci.
+    164 (2000)).  Before step k the tree has k internal nodes, k + 1
+    leaves and C cherries, so k + 1 - 2C leaves are in no cherry.  The new
+    node lands on one of the 2k + 1 nodes: on such a leaf it forms a new
+    cherry; on a cherry leaf it moves that cherry one level down; on an
+    internal node it changes no cherry.  So C grows by one with
+    probability (k + 1 - 2C) / (2k + 1) and stays put otherwise.
     """
     if n < 1:
         raise DomainError("need n >= 1")
@@ -432,27 +476,9 @@ def sample_cherry_counts(n, samples, gen, batch=5000):
     while done < samples:
         size = min(batch, samples - done)
         rng = gen.split(f"cherries:{chunk_no}").numpy_rng()
-        rows = np.arange(size)
-        leaf_parent = np.full((size, n + 1), -1, dtype=_size_dtype(n))
-        leaf_kids = np.zeros((size, n), dtype=np.int8)
         cherries = np.zeros(size, dtype=np.int64)
         for k in range(n):
-            v = rng.integers(0, 2 * k + 1, size=size)
-            rng.integers(0, 2, size=size)  # orientation; cherry count ignores it
-            v_leaf = (v & 1) == 0
-            leaf_parent[:, k + 1] = k
-            leaf_kids[:, k] = np.where(v_leaf, 2, 1)
-            cherries += v_leaf
-            # a leaf v moves below node k and stops being a leaf child of
-            # its old parent p
-            fr, fv = rows[v_leaf], v[v_leaf] >> 1
-            p = leaf_parent[fr, fv]
-            leaf_parent[fr, fv] = k
-            fix = p >= 0
-            fr, fp = fr[fix], p[fix]
-            old = leaf_kids[fr, fp]
-            cherries[fr] -= old == 2
-            leaf_kids[fr, fp] = old - 1
+            cherries += rng.integers(0, 2 * k + 1, size=size) < k + 1 - 2 * cherries
         out[done : done + size] = cherries
         done += size
         chunk_no += 1
@@ -513,8 +539,8 @@ def clt_check(n, r, samples, gen, kind="tree"):
         raise DomainError("need at least one sample")
     if kind == "tree":
         if r != 1:
-            # the fast lockstep sampler only covers cherries; other r would
-            # need full tree construction per sample
+            # only the cherry count (r = 1) is a Markov chain of its own
+            # under Remy's insertion; other r would need a tree per sample
             raise DomainError("tree CLT check is implemented for r = 1")
         mean = asym.asy_r_branch_mean(n, r).value
         var = asym.asy_r_branch_var(n, r).value

@@ -1,10 +1,10 @@
 """Lattice paths over {U, R, D, L} and their segment-collapsing reduction.
 
-Paths are plain strings; parse_path/format_path only validate.  The
-reduction normalizes a path by clockwise rotations until it starts
-horizontally and ends vertically, splits it into maximal
-horizontal+vertical segments, and collapses each segment to a single step
-determined by its first horizontal and first vertical move.
+Paths are plain strings; parse_path only validates.  The reduction
+normalizes a path by clockwise rotations until it starts horizontally and
+ends vertically, splits it into maximal horizontal+vertical segments, and
+collapses each segment to a single step determined by its first
+horizontal and first vertical move.
 """
 
 import re
@@ -14,7 +14,6 @@ from .errors import DomainError, ParseError
 __all__ = [
     "STEPS",
     "parse_path",
-    "format_path",
     "rotate_cw",
     "reduce_path",
     "rdeg",
@@ -46,10 +45,6 @@ def parse_path(text):
         if c not in STEPS:
             raise ParseError(f"unexpected character {c!r}", i)
     return text
-
-
-def format_path(p):
-    return p
 
 
 def rotate_cw(p):

@@ -1,10 +1,13 @@
 import csv
 import io
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from redcalc import oracle
+from redcalc import cli, exact, oracle
 from redcalc.cli import main
+from redcalc.paths import STEPS
 
 
 def run(capsys, *argv):
@@ -196,8 +199,18 @@ class TestTable:
             capsys, "table", "rdeg-mean",
             "--n", "9", "--method", "oracle", "--cap-paths", "8",
         )
-        assert code == 1
-        assert "not applicable" in err
+        assert code == 3
+        assert err == "redcalc: backend 'oracle' not applicable (have ['exact'])\n"
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def broken(n):
+            return 1 / 0
+
+        monkeypatch.setattr(exact, "expected_rdeg", broken)
+        code, out, err = run(capsys, "table", "rdeg-mean", "--n", "3")
+        assert (code, out) == (6, "")
+        assert err.startswith("redcalc: internal error: ZeroDivisionError(")
+        assert "Traceback (most recent call last)" in err
 
 
 class TestFigure:
@@ -255,6 +268,14 @@ class TestOut:
         assert out == ""
         assert target.read_text() == "2\n"
 
+    def test_unwritable_file_is_domain_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run(
+            capsys, "table", "rdeg-mean", "--n", "3", "--out", str(target)
+        )
+        assert (code, out) == (3, "")
+        assert err == f"redcalc: cannot write {target}: No such file or directory\n"
+
 
 class TestVerify:
     def test_quick_reports_known_honest_failure(self, capsys):
@@ -285,6 +306,37 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--quick", "--threads", "1")
         assert calls == {"tree_stats": list(range(9)), "path_stats": list(range(1, 8))}
         assert code == 1 and out.count("PASS") == 4
+
+    def test_extremal_check_catches_corrupted_paths(self, monkeypatch):
+        levels = oracle._extremal_levels
+
+        def no_long_last(n_max):
+            # every digit expands minimally: each row is the path of the
+            # level's power of two
+            for first, codes, lens in levels(n_max):
+                codes[:] = codes[0]
+                yield first, codes, np.full_like(lens, first)
+
+        def all_right_steps(n_max):
+            # the right lengths, but R^n reduces to one step at once
+            for first, codes, lens in levels(n_max):
+                codes[:] = STEPS.index("R")
+                yield first, codes, lens
+
+        monkeypatch.setattr(oracle, "_extremal_levels", no_long_last)
+        assert cli._verify_bounds({}, {}, 512) == "extremal path fails at n=3"
+        monkeypatch.setattr(oracle, "_extremal_levels", all_right_steps)
+        assert cli._verify_bounds({}, {}, 512) == "extremal path fails at n=4"
+
+    def test_extremal_check_memory(self):
+        tracemalloc.start()
+        try:
+            problem = cli._verify_bounds({}, {}, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problem is None
+        assert peak < 16 * 2**20
 
     def test_quick_deterministic_across_threads(self, capsys):
         _, a, _ = run(capsys, "verify", "--quick", "--seed", "7", "--threads", "1")

@@ -23,7 +23,7 @@ from redcalc.oracle import (
     sample_tree,
     tree_stats,
 )
-from redcalc.paths import STEPS, fringe_sizes, rdeg
+from redcalc.paths import STEPS, extremal_path, fringe_sizes, rdeg
 from redcalc.trees import (
     LEAF,
     Node,
@@ -68,46 +68,6 @@ def reference_path_stats(n, r_max=None):
             per_r[r].add(sizes[r] if r < len(sizes) else 0)
         total.add(sum(sizes))
     return oracle.PathStats(n, hist, rdeg_acc, per_r, total)
-
-
-def reference_cherry_counts(n, samples, gen, batch=5000):
-    """Lockstep Remy sampler storing parent, is_leaf and leaf_kids for all
-    2n + 1 nodes; the same random draws as sample_cherry_counts."""
-    out = np.empty(samples, dtype=np.int64)
-    done = 0
-    chunk_no = 0
-    while done < samples:
-        size = min(batch, samples - done)
-        rng = gen.split(f"cherries:{chunk_no}").numpy_rng()
-        rows = np.arange(size)
-        parent = np.full((size, 2 * n + 1), -1, dtype=np.int32)
-        is_leaf = np.zeros((size, 2 * n + 1), dtype=bool)
-        is_leaf[:, 0] = True
-        leaf_kids = np.zeros((size, 2 * n + 1), dtype=np.int8)
-        cherries = np.zeros(size, dtype=np.int64)
-        for k in range(n):
-            m = 2 * k + 1
-            v = rng.integers(0, m, size=size)
-            rng.integers(0, 2, size=size)
-            u, w = m, m + 1
-            v_leaf = is_leaf[rows, v]
-            p = parent[rows, v]
-            parent[rows, u] = p
-            parent[rows, v] = u
-            parent[rows, w] = u
-            is_leaf[rows, w] = True
-            leaf_kids[rows, u] = np.where(v_leaf, 2, 1)
-            cherries += v_leaf
-            fix = v_leaf & (p >= 0)
-            if fix.any():
-                fr, fp = rows[fix], p[fix]
-                old = leaf_kids[fr, fp]
-                cherries[fix] -= old == 2
-                leaf_kids[fr, fp] = old - 1
-        out[done : done + size] = cherries
-        done += size
-        chunk_no += 1
-    return out
 
 
 def reference_fringe_sizes(n, r, samples, gen, batch=5000):
@@ -381,6 +341,22 @@ class TestPathScan:
                 sizes = fringe_sizes(p)
                 assert row == sizes + [0] * (len(row) - len(sizes)), p
 
+    def test_extremal_codes_match_extremal_path(self):
+        ns = []
+        for first, codes, lens in oracle._extremal_levels(1024):
+            assert len(codes) == len(lens) == min(first, 1025 - first)
+            for i, (row, length) in enumerate(zip(codes.tolist(), lens.tolist())):
+                ns.append(first + i)
+                assert row[:length] == _codes([extremal_path(first + i)]).tolist()[0]
+        assert ns == list(range(1, 1025))
+
+    def test_extremal_degrees_match_rdeg(self):
+        for first, codes, lens in oracle._extremal_levels(300):
+            depth = first.bit_length() - 1
+            table = oracle._fringe_table(codes, lens, depth)
+            for i, degree in enumerate(np.count_nonzero(table, axis=1) - 1):
+                assert degree == rdeg(extremal_path(first + i))
+
     @pytest.mark.parametrize("r_max", [None, 0, 1, 2, 3, 5])
     def test_matches_reference_loop(self, r_max):
         for n in range(1, 9):
@@ -472,8 +448,6 @@ class TestSamplers:
     def test_samplers_match_reference(self, n):
         for seed in (0, 1, 2024):
             gen = SeededGenerator(seed)
-            got = sample_cherry_counts(n, 60, gen, batch=25)
-            assert (got == reference_cherry_counts(n, 60, gen, batch=25)).all()
             for r in (0, 1, 2, n.bit_length() - 1, n.bit_length() + 1):
                 got = sample_fringe_sizes(n, r, 60, gen, batch=25)
                 want = reference_fringe_sizes(n, r, 60, gen, batch=25)
@@ -488,6 +462,35 @@ class TestSamplers:
             tracemalloc.stop()
         assert len(vals) == 1835
         assert peak < 4 * 2**20
+
+    def test_cherry_sampler_working_memory(self):
+        # the returned int64 counts alone take 0.76 MiB; the chain keeps
+        # a few chunk-sized vectors on top of them, however large n is
+        tracemalloc.start()
+        try:
+            vals = sample_cherry_counts(1000, 100000, SeededGenerator(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vals) == 100000
+        assert peak - vals.nbytes < 0.25 * 2**20
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_cherry_chain_chi_square(self, n):
+        stat, df = _cherry_chi_square(sample_cherry_counts, n, 50000)
+        assert stat <= _chi_square_bound(df)
+
+    def test_mutated_cherry_chain_fails_chi_square(self):
+        def mutated(n, samples, gen):
+            rng = gen.split("cherries:0").numpy_rng()
+            cherries = np.zeros(samples, dtype=np.int64)
+            for k in range(n):
+                cherries += rng.integers(0, 2 * k + 1, size=samples) < k + 1 - cherries
+            return cherries
+
+        for n in range(2, 11):
+            stat, df = _cherry_chi_square(mutated, n, 50000)
+            assert stat > _chi_square_bound(df)
 
     def test_cherry_counts_match_exhaustive_distribution(self):
         # n=4: X_{4;1} takes value 1 on 8 trees and 2 on 6 of the 14
@@ -546,7 +549,36 @@ class TestDistributionChecks:
     def test_sampler_uniformity_chi_square(self):
         stat, df = chi_square_uniformity(5, 50000, SeededGenerator(17))
         assert df == 41
-        # Wilson-Hilferty upper bound at significance 1e-6
-        z = 4.753
-        bound = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
-        assert stat < bound
+        assert stat < _chi_square_bound(df)
+
+
+def _chi_square_bound(df):
+    """Wilson-Hilferty upper bound of chi-square(df) at significance 1e-6.
+
+    With df = 0 there is one class, so the statistic is 0 unless a sample
+    falls outside it.
+    """
+    if df == 0:
+        return 0.0
+    z = 4.753
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+def _cherry_chi_square(sampler, n, samples):
+    """Chi-square statistic of sampler's cherry counts at size n against
+    the exhaustive histogram, plus the degrees of freedom; a count that no
+    tree has gives an infinite statistic."""
+    counts = {}
+    for t in enumerate_trees(n):
+        c = branch_counts(t).counts[1]
+        counts[c] = counts.get(c, 0) + 1
+    values = sampler(n, samples, SeededGenerator(100 + n))
+    got = np.bincount(values, minlength=max(counts) + 1)
+    if any(got[c] for c in range(len(got)) if c not in counts):
+        return math.inf, len(counts) - 1
+    trees = sum(counts.values())
+    stat = 0.0
+    for c, weight in counts.items():
+        want = samples * weight / trees
+        stat += (got[c] - want) ** 2 / want
+    return stat, len(counts) - 1

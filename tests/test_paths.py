@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from redcalc.errors import DomainError, ParseError
 from redcalc.paths import (
@@ -86,6 +88,12 @@ class TestFringes:
                 sizes = fringe_sizes(p)
                 assert sizes[0] == n and sizes[-1] == 1
                 assert all(a > b for a, b in zip(sizes, sizes[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.text(alphabet="URDL", min_size=2, max_size=2000))
+    def test_sizes_at_least_halve(self, p):
+        sizes = fringe_sizes(p)
+        assert all(b <= a // 2 for a, b in zip(sizes, sizes[1:]))
 
     def test_fringe_matches_sizes(self):
         p = "RRUULD"

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from redcalc.errors import DomainError, ParseError
+from redcalc.oracle import SeededGenerator, sample_tree
 from redcalc.trees import (
     LEAF,
     Node,
@@ -114,6 +117,16 @@ class TestRegister:
 
     def test_deep_chain(self):
         assert register(chain_tree(100000, seed=3)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    strategies.integers(min_value=1, max_value=300),
+    strategies.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_register_of_reduction_drops_by_one_random(n, seed):
+    t = sample_tree(n, SeededGenerator(seed))
+    assert register(reduce_tree(t)) == register(t) - 1
 
 
 class TestBranchCounts:
