@@ -24,12 +24,14 @@ __all__ = [
     "fluctuation",
     "asy_r_branch_mean",
     "asy_r_branch_var",
+    "asy_total_branches_smooth",
     "asy_total_branches_mean",
     "delta_branches",
     "asy_rdeg",
     "asy_count_rdeg",
     "asy_fringe",
     "theta_r",
+    "asy_total_fringe_smooth",
     "asy_total_fringe_mean",
 ]
 
@@ -175,21 +177,39 @@ def asy_r_branch_var(n, r):
     return AsymptoticValue(value, "O(n^-2)", n, r=r)
 
 
-def asy_total_branches_mean(n, big_k=20):
-    """Expected total branch count of a uniform size-n tree."""
+def _log4(n):
+    return math.log(n) / math.log(4.0)
+
+
+@lru_cache(maxsize=None)
+def _zeta_prime_at_minus_one():
+    """zeta'(-1), which enters the constant term of the total branch count.
+
+    Computed on first use, once per process.  It stays the value zeta_c
+    gives rather than a literal: the correctly rounded constant is one ulp
+    away, and the expansions' output would change in the last digit.
+    """
+    return zeta_c(-1, 1).real
+
+
+def asy_total_branches_smooth(n):
+    """Expected total branch count of a uniform size-n tree without its
+    periodic fluctuation: the terms through the constant."""
     if n < 2:
         raise DomainError("need n >= 2")
-    x = math.log(n) / math.log(4.0)
-    zp = zeta_c(-1, 1).real
-    value = (
+    return (
         4.0 * n / 3.0
-        + x / 6.0
-        - 2.0 * zp / _LOG2
+        + _log4(n) / 6.0
+        - 2.0 * _zeta_prime_at_minus_one() / _LOG2
         - EULER_GAMMA / (12.0 * _LOG2)
         - 1.0 / (6.0 * _LOG2)
         + 43.0 / 36.0
-        + delta_branches(x, big_k)
     )
+
+
+def asy_total_branches_mean(n, big_k=20):
+    """Expected total branch count of a uniform size-n tree."""
+    value = asy_total_branches_smooth(n) + delta_branches(_log4(n), big_k)
     return AsymptoticValue(value, "O(log n / n)", n, big_k=big_k)
 
 
@@ -257,15 +277,19 @@ def theta_r(r):
     return 4.0 / (2.0 + 2.0 * math.cos(2.0 * math.pi / 2.0**r))
 
 
-def asy_total_fringe_mean(n, big_k=20):
-    """Expected total fringe size of a uniform length-n path."""
+def asy_total_fringe_smooth(n):
+    """Expected total fringe size of a uniform length-n path without its
+    periodic fluctuation: the terms through the constant."""
     if n < 2:
         raise DomainError("need n >= 2")
-    x = math.log(n) / math.log(4.0)
-    value = (
+    return (
         4.0 * n / 3.0
-        + x / 3.0
+        + _log4(n) / 3.0
         + (5.0 + 3.0 * EULER_GAMMA - 11.0 * _LOG2) / (18.0 * _LOG2)
-        + fluctuation("fringe-total", big_k)(x)
     )
+
+
+def asy_total_fringe_mean(n, big_k=20):
+    """Expected total fringe size of a uniform length-n path."""
+    value = asy_total_fringe_smooth(n) + fluctuation("fringe-total", big_k)(_log4(n))
     return AsymptoticValue(value, "O(log n / n)", n, big_k=big_k)

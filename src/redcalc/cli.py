@@ -7,6 +7,10 @@ asymptotic quantities, optionally cross-checked between backends), figure
 Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 domain error
 (including an --out file that cannot be written), 4 cross-backend mismatch,
 5 resource cap, 6 internal error (a bug; the traceback goes to stderr).
+
+Only the requests that enumerate or sample (table --method oracle, table
+--check, verify) import the oracle backend and with it numpy; the others
+start without them.
 """
 
 import argparse
@@ -16,10 +20,15 @@ import sys
 import traceback
 from fractions import Fraction
 
-import numpy as np
-
-from . import asym, exact, oracle, series
-from .errors import DomainError, MismatchError, RedcalcError, ResourceCapError
+from . import asym, exact, series
+from .errors import (
+    PATH_CAP,
+    TREE_CAP,
+    DomainError,
+    MismatchError,
+    RedcalcError,
+    ResourceCapError,
+)
 from .paths import fringe_sizes, parse_path, rdeg, reduce_path
 from .trees import (
     almost_complete,
@@ -49,6 +58,13 @@ def _threads(args):
                 f"REDCALC_THREADS must be an integer, got {env!r}"
             ) from None
     return os.cpu_count() or 1
+
+
+def _oracle():
+    """The oracle module, imported on first use since it loads numpy."""
+    from . import oracle
+
+    return oracle
 
 
 def _emit(args, text):
@@ -151,7 +167,7 @@ def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
             ),
         }
         if n <= cap_trees:
-            out["oracle"] = lambda: oracle.tree_stats(
+            out["oracle"] = lambda: _oracle().tree_stats(
                 n, r_max=r, threads=threads, cap=cap_trees
             ).per_r[r].mean()
     elif quantity == "branches-total-mean":
@@ -164,7 +180,7 @@ def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
             ),
         }
         if n <= cap_trees:
-            out["oracle"] = lambda: oracle.tree_stats(
+            out["oracle"] = lambda: _oracle().tree_stats(
                 n, threads=threads, cap=cap_trees
             ).total.mean()
     elif quantity == "rdeg-mean":
@@ -172,7 +188,7 @@ def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
             raise DomainError("need n >= 1")
         out = {"exact": lambda: exact.expected_rdeg(n)}
         if n <= cap_paths:
-            out["oracle"] = lambda: oracle.path_stats(
+            out["oracle"] = lambda: _oracle().path_stats(
                 n, threads=threads, cap=cap_paths
             ).rdeg.mean()
     elif quantity == "fringe-mean":
@@ -185,7 +201,7 @@ def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
             ),
         }
         if n <= cap_paths:
-            out["oracle"] = lambda: oracle.path_stats(
+            out["oracle"] = lambda: _oracle().path_stats(
                 n, r_max=r, threads=threads, cap=cap_paths
             ).per_r[r].mean()
     elif quantity == "fringe-total-mean":
@@ -193,7 +209,7 @@ def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
             raise DomainError("need n >= 1")
         out = {"exact": lambda: exact.expected_total_fringe(n)}
         if n <= cap_paths:
-            out["oracle"] = lambda: oracle.path_stats(
+            out["oracle"] = lambda: _oracle().path_stats(
                 n, threads=threads, cap=cap_paths
             ).total.mean()
     else:
@@ -258,7 +274,7 @@ def cmd_table(args):
             if c:
                 rows.append((r, c))
         if args.check and n <= args.cap_paths:
-            st = oracle.path_stats(n, threads=threads, cap=args.cap_paths)
+            st = _oracle().path_stats(n, threads=threads, cap=args.cap_paths)
             if dict(rows) != st.rdeg_hist:
                 raise MismatchError(
                     f"rdeg distribution mismatch at n={n}: "
@@ -312,25 +328,13 @@ _FIGURES = {
     "branches-fluctuation": dict(
         exact=exact.expected_total_branches,
         family="branches-total",
-        smooth=lambda n: (
-            4.0 * n / 3.0
-            + math.log(n) / math.log(4.0) / 6.0
-            - 2.0 * asym.zeta_c(-1, 1).real / math.log(2.0)
-            - asym.EULER_GAMMA / (12.0 * math.log(2.0))
-            - 1.0 / (6.0 * math.log(2.0))
-            + 43.0 / 36.0
-        ),
+        smooth=asym.asy_total_branches_smooth,
         default_range=(2.0, 5.0),
     ),
     "fringe-fluctuation": dict(
         exact=exact.expected_total_fringe,
         family="fringe-total",
-        smooth=lambda n: (
-            4.0 * n / 3.0
-            + math.log(n) / math.log(4.0) / 3.0
-            + (5.0 + 3.0 * asym.EULER_GAMMA - 11.0 * math.log(2.0))
-            / (18.0 * math.log(2.0))
-        ),
+        smooth=asym.asy_total_fringe_smooth,
         default_range=(1.0, 4.0),
     ),
 }
@@ -410,6 +414,7 @@ def _verify_identities(order):
 def _oracle_stats(tree_max, path_max, threads):
     """Exhaustive statistics of every tree size 0..tree_max and every path
     length 1..path_max, each scanned once and shared by the verify groups."""
+    oracle = _oracle()
     trees = {n: oracle.tree_stats(n, threads=threads) for n in range(tree_max + 1)}
     paths = {
         n: oracle.path_stats(n, threads=threads) for n in range(1, path_max + 1)
@@ -496,20 +501,9 @@ def _verify_bounds(trees, paths, extremal_max):
         want = almost_complete(m // 2)
         if format_tree(got) != format_tree(want):
             return f"almost-complete reduction fails at m={m}"
-    # the extremal paths of one bit length, reduced in row blocks; a
-    # length-n path has reduction degree at most log2 n = depth, so the
-    # table of fringes 0..depth shows whether it reaches that degree
-    for first, codes, lens in oracle._extremal_levels(extremal_max):
-        depth = first.bit_length() - 1
-        rows = max(1, oracle._BLOCK_CELLS // codes.shape[1])
-        for a in range(0, len(codes), rows):
-            block, block_lens = codes[a : a + rows], lens[a : a + rows]
-            n = first + a + np.arange(len(block))
-            table = oracle._fringe_table(block, block_lens, depth)
-            degree = np.count_nonzero(table, axis=1) - 1
-            bad = (block_lens != n) | (degree != depth)
-            if bad.any():
-                return f"extremal path fails at n={n[bad][0]}"
+    n = _oracle().extremal_failure(extremal_max)
+    if n is not None:
+        return f"extremal path fails at n={n}"
     return None
 
 
@@ -539,6 +533,7 @@ def _verify_residuals():
 
 
 def _verify_clt(seed, samples, n):
+    oracle = _oracle()
     gen = oracle.SeededGenerator(seed)
     for kind, r in (("tree", 1), ("path", 2)):
         ks = oracle.clt_check(n, r, samples, gen.split(f"clt:{kind}"), kind=kind)
@@ -648,8 +643,8 @@ def build_parser():
         default="exact",
     )
     p.add_argument("--check", action="store_true")
-    p.add_argument("--cap-trees", type=int, default=oracle.TREE_CAP)
-    p.add_argument("--cap-paths", type=int, default=oracle.PATH_CAP)
+    p.add_argument("--cap-trees", type=int, default=TREE_CAP)
+    p.add_argument("--cap-paths", type=int, default=PATH_CAP)
     common(p)
     p.set_defaults(func=cmd_table)
 

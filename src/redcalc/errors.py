@@ -1,4 +1,10 @@
-"""Shared exception types with CLI exit-code mapping."""
+"""Shared exception types with CLI exit-code mapping, and the enumeration
+size caps that ResourceCapError enforces."""
+
+# default caps of the exhaustive scans: 4^13 paths and C_15 trees; here,
+# not in oracle, so that the CLI can show them without loading numpy
+TREE_CAP = 15
+PATH_CAP = 13
 
 
 class RedcalcError(Exception):

@@ -11,6 +11,10 @@ the work done.  The cherry sampler runs the Markov chain that the cherry
 count follows under Remy's leaf insertion, with no tree built.  Samplers
 draw fixed-size chunks from streams split off one seed, so their output
 depends on the seed alone.
+
+This is the only module that imports numpy, and the command line imports
+it only for requests that enumerate or sample.  The size caps TREE_CAP and
+PATH_CAP live in ``errors`` and are re-exported here.
 """
 
 import hashlib
@@ -23,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import asym
-from .errors import DomainError, ResourceCapError
+from .errors import PATH_CAP, TREE_CAP, DomainError, ResourceCapError
 from .paths import _COLLAPSE, STEPS
 from .trees import LEAF, Node
 
@@ -40,13 +44,10 @@ __all__ = [
     "sample_path",
     "sample_cherry_counts",
     "sample_fringe_sizes",
+    "extremal_failure",
     "clt_check",
     "chi_square_uniformity",
 ]
-
-TREE_CAP = 15
-PATH_CAP = 13
-
 
 @dataclass
 class StatAccumulator:
@@ -251,7 +252,7 @@ class PathStats:
 
 
 # upper bound on the cells (rows x steps) of one block of path codes
-_BLOCK_CELLS = 1 << 14
+_BLOCK_CELLS = 1 << 16
 
 
 def _collapse_codes():
@@ -364,6 +365,28 @@ def _extremal_levels(n_max):
         nlens[1::2] += 1
         yield first, codes, lens
         first, codes, lens = 2 * first, nxt, nlens
+
+
+def extremal_failure(n_max):
+    """First n <= n_max whose extremal_path(n) does not have length n and
+    reduction degree log2 n, or None if every one does.
+
+    The paths of one bit length are reduced in row blocks; a length-n path
+    has reduction degree at most log2 n = depth, so the table of fringes
+    0..depth shows whether it reaches that degree.
+    """
+    for first, codes, lens in _extremal_levels(n_max):
+        depth = first.bit_length() - 1
+        rows = max(1, _BLOCK_CELLS // codes.shape[1])
+        for a in range(0, len(codes), rows):
+            block, block_lens = codes[a : a + rows], lens[a : a + rows]
+            n = first + a + np.arange(len(block))
+            table = _fringe_table(block, block_lens, depth)
+            degree = np.count_nonzero(table, axis=1) - 1
+            bad = (block_lens != n) | (degree != depth)
+            if bad.any():
+                return int(n[bad][0])
+    return None
 
 
 def path_stats(n, r_max=None, threads=1, cap=PATH_CAP):

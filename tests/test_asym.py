@@ -6,6 +6,7 @@ import pytest
 
 from redcalc import asym, exact
 from redcalc.errors import DomainError
+from redcalc.special import zeta_c
 
 FAMILIES = ("branches-total", "rdeg-mean", "rdeg-var", "fringe-total")
 
@@ -128,6 +129,20 @@ class TestTotalBranches:
         want = float(exact.expected_total_branches(n))
         assert abs(got - want) < 0.01
 
+    def test_zeta_prime_at_minus_one(self):
+        zp = asym._zeta_prime_at_minus_one()
+        assert zp == zeta_c(-1, 1).real
+        assert abs(zp - -0.1654211437004509292) < 1e-15
+
+    def test_mean_is_smooth_plus_fluctuation(self):
+        for n in (2, 3, 100, 4097):
+            x = math.log(n) / math.log(4.0)
+            assert asym.asy_total_branches_mean(n, 7).value == (
+                asym.asy_total_branches_smooth(n) + asym.delta_branches(x, 7)
+            )
+        with pytest.raises(DomainError):
+            asym.asy_total_branches_smooth(1)
+
 
 class TestRdegExpansions:
     @pytest.mark.parametrize("n", [256, 1024])
@@ -196,3 +211,13 @@ class TestTotalFringe:
         got = asym.asy_total_fringe_mean(n, 20).value
         want = float(exact.expected_total_fringe(n))
         assert abs(got - want) < 0.01
+
+    def test_mean_is_smooth_plus_fluctuation(self):
+        for n in (2, 3, 100, 4097):
+            x = math.log(n) / math.log(4.0)
+            assert asym.asy_total_fringe_mean(n, 7).value == (
+                asym.asy_total_fringe_smooth(n)
+                + asym.fluctuation("fringe-total", 7)(x)
+            )
+        with pytest.raises(DomainError):
+            asym.asy_total_fringe_smooth(1)

@@ -1,10 +1,15 @@
 import csv
 import io
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import redcalc
 from redcalc import cli, exact, oracle
 from redcalc.cli import main
 from redcalc.paths import STEPS
@@ -342,3 +347,67 @@ class TestVerify:
         _, a, _ = run(capsys, "verify", "--quick", "--seed", "7", "--threads", "1")
         _, b, _ = run(capsys, "verify", "--quick", "--seed", "7", "--threads", "4")
         assert a == b
+
+
+# runs cli.main on its arguments in a fresh interpreter and prints the exit
+# code, the output and which of numpy and the oracle got imported
+_FRESH_CHILD = """
+import contextlib, io, json, sys
+from redcalc import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+heavy = [m for m in ("numpy", "redcalc.oracle") if m in sys.modules]
+print(json.dumps([code, out.getvalue(), heavy]))
+"""
+
+
+def run_fresh(*argv):
+    src = os.path.dirname(os.path.dirname(redcalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CHILD, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "r-branches-mean", "--n", "20", "--r", "1", "--method", "exact"),
+            ("table", "fringe-mean", "--n", "12", "--r", "2", "--method", "series"),
+            (
+                "table", "branches-total-mean", "--n", "1024",
+                "--method", "asymptotic", "--threads", "1",
+            ),
+            ("figure", "branches-fluctuation"),
+            ("tree", "register", "((. .) (. .))"),
+            ("path", "rdeg", "RRUDLL"),
+        ],
+    )
+    def test_no_enumeration_no_numpy(self, argv):
+        code, _, heavy = run_fresh(*argv)
+        assert code == 0
+        assert heavy == []
+
+    def test_oracle_method(self, capsys):
+        argv = ("table", "rdeg-mean", "--n", "6")
+        code, out, heavy = run_fresh(*argv, "--method", "oracle")
+        assert (code, heavy) == (0, ["numpy", "redcalc.oracle"])
+        assert out == run(capsys, *argv, "--method", "exact")[1]
+
+    def test_check(self):
+        code, out, heavy = run_fresh(
+            "table", "fringe-mean", "--n", "6", "--r", "1", "--check"
+        )
+        assert (code, out, heavy) == (0, "7/4 (1.75)\n", ["numpy", "redcalc.oracle"])
+
+    def test_verify_quick(self):
+        code, out, heavy = run_fresh("verify", "--quick")
+        assert (code, out.count("PASS"), heavy) == (1, 4, ["numpy", "redcalc.oracle"])

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from redcalc import exact, series
 from redcalc.errors import DomainError
@@ -111,6 +113,26 @@ class TestFringe:
                 exact.expected_fringe(n, r) for r in range(n.bit_length())
             )
             assert exact.expected_total_fringe(n) == want
+
+
+# series order = n: the composition is cubic in the order, so a test of
+# n up to 200 is kept to a few examples
+_n_upto_200 = strategies.integers(min_value=1, max_value=200)
+_r_upto_3 = strategies.integers(min_value=0, max_value=3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_n_upto_200, _r_upto_3)
+def test_r_branch_mean_matches_series_random(n, r):
+    want = Fraction(series.f1_series(r, n)[n], series.catalan(n))
+    assert exact.expected_r_branches(n, r) == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(_n_upto_200, _r_upto_3)
+def test_fringe_mean_matches_series_random(n, r):
+    want = Fraction(series.fringe_moment_series(r, n)[n], 4**n)
+    assert exact.expected_fringe(n, r) == want
 
 
 class TestDomains:

@@ -73,6 +73,23 @@ class TestParseFormat:
         assert format_tree(t) == text
 
 
+_seeds = strategies.integers(min_value=0, max_value=2**64 - 1)
+
+
+@settings(max_examples=5, deadline=None)
+@given(strategies.integers(min_value=10**4, max_value=3 * 10**4), _seeds)
+def test_roundtrip_deep_chain(n, seed):
+    t = chain_tree(n, seed=seed)
+    assert parse_tree(format_tree(t)) == t
+
+
+@settings(max_examples=30, deadline=None)
+@given(strategies.integers(min_value=1, max_value=2000), _seeds)
+def test_roundtrip_sampled(n, seed):
+    t = sample_tree(n, SeededGenerator(seed))
+    assert parse_tree(format_tree(t)) == t
+
+
 class TestReduce:
     def test_leaf_is_domain_error(self):
         with pytest.raises(DomainError):
