@@ -39,7 +39,9 @@ from .trees import (
     register,
 )
 
-FIGURE_N_CAP = 100000
+# largest n a figure grid may hold: exact.expected_total_branches takes
+# about 4 s at n = 4096 and grows about 6.5x per doubling of n
+FIGURE_N_CAP = 4096
 
 EXIT_INTERNAL_ERROR = 6
 
@@ -115,24 +117,17 @@ def cmd_path(args):
 # ---------------------------------------------------------------------------
 # table
 
-def _series_family(family, r, order):
-    if family == "B":
-        return series.b_r_series(r, order)
-    if family == "Beq":
-        return series.b_r_equal_series(r, order)
-    if family == "F1":
-        return series.f1_series(r, order)
-    if family == "F2":
-        return series.f2_series(r, order)
-    if family == "L":
-        return series.l_r_series(r, order)
-    if family == "Leq":
-        return series.l_r_equal_series(r, order)
-    if family == "sigma":
-        return series.sigma_iterate(r, order)
-    if family == "branch-total":
-        return series.branch_total_series(order)
-    raise RedcalcError(f"unknown series family {family!r}")
+# univariate series-coefficients families: name -> f(r, order)
+_SERIES_FAMILIES = {
+    "B": series.b_r_series,
+    "Beq": series.b_r_equal_series,
+    "F1": series.f1_series,
+    "F2": series.f2_series,
+    "L": series.l_r_series,
+    "Leq": series.l_r_equal_series,
+    "sigma": series.sigma_iterate,
+    "branch-total": lambda r, order: series.branch_total_series(order),
+}
 
 
 def _poly_in_v(row):
@@ -150,7 +145,7 @@ def _poly_in_v(row):
     return " + ".join(terms)
 
 
-def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
+def _quantity_backends(quantity, n, r, cap_trees, cap_paths):
     """One zero-argument function per applicable backend name, each
     computing the exact value of one scalar quantity.
 
@@ -168,7 +163,7 @@ def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
         }
         if n <= cap_trees:
             out["oracle"] = lambda: _oracle().tree_stats(
-                n, r_max=r, threads=threads, cap=cap_trees
+                n, r_max=r, cap=cap_trees
             ).per_r[r].mean()
     elif quantity == "branches-total-mean":
         if n < 0:
@@ -181,7 +176,7 @@ def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
         }
         if n <= cap_trees:
             out["oracle"] = lambda: _oracle().tree_stats(
-                n, threads=threads, cap=cap_trees
+                n, cap=cap_trees
             ).total.mean()
     elif quantity == "rdeg-mean":
         if n < 1:
@@ -189,7 +184,7 @@ def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
         out = {"exact": lambda: exact.expected_rdeg(n)}
         if n <= cap_paths:
             out["oracle"] = lambda: _oracle().path_stats(
-                n, threads=threads, cap=cap_paths
+                n, cap=cap_paths
             ).rdeg.mean()
     elif quantity == "fringe-mean":
         if n < 1 or r < 0:
@@ -202,7 +197,7 @@ def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
         }
         if n <= cap_paths:
             out["oracle"] = lambda: _oracle().path_stats(
-                n, r_max=r, threads=threads, cap=cap_paths
+                n, r_max=r, cap=cap_paths
             ).per_r[r].mean()
     elif quantity == "fringe-total-mean":
         if n < 1:
@@ -210,7 +205,7 @@ def _quantity_backends(quantity, n, r, threads, cap_trees, cap_paths):
         out = {"exact": lambda: exact.expected_total_fringe(n)}
         if n <= cap_paths:
             out["oracle"] = lambda: _oracle().path_stats(
-                n, threads=threads, cap=cap_paths
+                n, cap=cap_paths
             ).total.mean()
     else:
         raise RedcalcError(f"unknown quantity {quantity!r}")
@@ -236,7 +231,7 @@ _NEEDS_R = ("r-branches-mean", "fringe-mean")
 
 
 def cmd_table(args):
-    threads = _threads(args)
+    _threads(args)  # validates REDCALC_THREADS; the scans use one thread
     if args.quantity != "series-coefficients" and args.n is None:
         raise DomainError(f"table {args.quantity} needs --n")
     if args.quantity in _NEEDS_R and args.r is None:
@@ -257,7 +252,7 @@ def cmd_table(args):
                 lines = [f"[z^{n}] {_poly_in_v(h.row(n))}" for n in range(order + 1)]
             _emit(args, "\n".join(lines) + "\n")
             return 0
-        f = _series_family(args.family, r, order)
+        f = _SERIES_FAMILIES[args.family](r, order)
         if args.format == "csv":
             lines = ["family,r,n,coeff"]
             lines += [f"{args.family},{r},{n},{f[n]}" for n in range(order + 1)]
@@ -274,7 +269,7 @@ def cmd_table(args):
             if c:
                 rows.append((r, c))
         if args.check and n <= args.cap_paths:
-            st = _oracle().path_stats(n, threads=threads, cap=args.cap_paths)
+            st = _oracle().path_stats(n, cap=args.cap_paths)
             if dict(rows) != st.rdeg_hist:
                 raise MismatchError(
                     f"rdeg distribution mismatch at n={n}: "
@@ -295,7 +290,7 @@ def cmd_table(args):
         _emit(args, f"{value!r}\n")
         return 0
     backends = _quantity_backends(
-        args.quantity, n, r, threads, args.cap_trees, args.cap_paths
+        args.quantity, n, r, args.cap_trees, args.cap_paths
     )
     if args.check:
         values = {name: compute() for name, compute in backends.items()}
@@ -344,18 +339,19 @@ def figure_rows(figure, x_min, x_max, points, terms):
     """Grid rows (x, n, exact, smooth, residual, delta) for one figure."""
     if points < 2:
         raise DomainError("a figure grid needs at least 2 points")
-    spec = _FIGURES[figure]
-    fluc = asym.fluctuation(spec["family"], terms)
-    rows = []
-    seen = set()
+    grid = []  # the whole grid is checked against the cap before any point
     for i in range(points):
         x = x_min + (x_max - x_min) * i / (points - 1)
         n = round(4.0**x)
-        if n < 2 or n in seen:
-            continue
-        seen.add(n)
         if n > FIGURE_N_CAP:
             raise ResourceCapError(f"figure grid capped at n = {FIGURE_N_CAP}")
+        grid.append(n)
+    spec = _FIGURES[figure]
+    fluc = asym.fluctuation(spec["family"], terms)
+    rows = []
+    for n in dict.fromkeys(grid):
+        if n < 2:
+            continue
         x_n = math.log(n) / math.log(4.0)
         ev = float(spec["exact"](n))
         smooth = spec["smooth"](n)
@@ -413,12 +409,11 @@ def _verify_identities(order):
 
 def _oracle_stats(tree_max, path_max, threads):
     """Exhaustive statistics of every tree size 0..tree_max and every path
-    length 1..path_max, each scanned once and shared by the verify groups."""
+    length 1..path_max, each scanned once and shared by the verify groups.
+    The scans run on one thread; threads changes neither output nor work."""
     oracle = _oracle()
-    trees = {n: oracle.tree_stats(n, threads=threads) for n in range(tree_max + 1)}
-    paths = {
-        n: oracle.path_stats(n, threads=threads) for n in range(1, path_max + 1)
-    }
+    trees = {n: oracle.tree_stats(n) for n in range(tree_max + 1)}
+    paths = {n: oracle.path_stats(n) for n in range(1, path_max + 1)}
     return trees, paths
 
 

@@ -3,6 +3,12 @@
 Every quantity here is also computable by exhaustive enumeration and by the
 series recurrences; this module provides the third, independent route.  All
 results are fractions.Fraction (or int where the value is integral).
+
+Each closed form is a weighted sum, over k = step, 2 step, ..., of one
+binomial difference per k, and one kernel, ``_differences``, yields them:
+trees take the second difference of C(2n, n+1-k), paths the first
+difference of C(2n-1, n-k); step is 2^r for the per-r quantities and 1 for
+the totals.
 """
 
 import math
@@ -29,11 +35,31 @@ def v2(k):
     return (k & -k).bit_length() - 1
 
 
-def _comb(n, k):
-    # math.comb rejects negative k; treat out-of-range as 0
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+def _differences(m, j0, d, step):
+    """Yield (k, Delta^d C(m, j0 - k)) for k = step, 2 step, ... <= j0.
+
+    The d-th backward difference is expanded as
+    sum_i (-1)^i C(d, i) C(m, j0 - k - i), d + 1 binomials per term, with
+    C(m, j) = 0 outside 0 <= j <= m.
+    """
+    signed = [(-1) ** i * math.comb(d, i) for i in range(d + 1)]
+    for k in range(step, j0 + 1, step):
+        delta = 0
+        for i, c in enumerate(signed):
+            j = j0 - k - i
+            if 0 <= j <= m:
+                delta += c * math.comb(m, j)
+        yield k, delta
+
+
+def _tree_terms(n, step=1):
+    # C(2n, n+1-k) - 2 C(2n, n-k) + C(2n, n-1-k)
+    return _differences(2 * n, n + 1, 2, step)
+
+
+def _path_terms(n, step=1):
+    # C(2n-1, n-k) - C(2n-1, n-k-1)
+    return _differences(2 * n - 1, n, 1, step)
 
 
 def expected_r_branches(n, r):
@@ -42,15 +68,7 @@ def expected_r_branches(n, r):
         raise DomainError("n and r must be nonnegative")
     if r == 0:
         return n + 1
-    step = 1 << r
-    acc = 0
-    lam = 1
-    while n + 1 - lam * step >= 0:
-        k = lam * step
-        acc += lam * (
-            _comb(2 * n, n + 1 - k) - 2 * _comb(2 * n, n - k) + _comb(2 * n, n - 1 - k)
-        )
-        lam += 1
+    acc = sum((k >> r) * delta for k, delta in _tree_terms(n, 1 << r))
     return Fraction((n + 1) * acc, math.comb(2 * n, n))
 
 
@@ -59,28 +77,9 @@ def expected_total_branches(n):
     if n < 0:
         raise DomainError("n must be nonnegative")
     acc = Fraction(0)
-    for k in range(1, n + 2):
-        weight = (2 - Fraction(1, 1 << v2(k))) * k
-        acc += weight * (
-            _comb(2 * n, n + 1 - k) - 2 * _comb(2 * n, n - k) + _comb(2 * n, n - 1 - k)
-        )
+    for k, delta in _tree_terms(n):
+        acc += (2 - Fraction(1, 1 << v2(k))) * k * delta
     return Fraction(n + 1, math.comb(2 * n, n)) * acc
-
-
-def _rdeg_equal_coeff(n, r):
-    """Number of length-n paths with reduction degree exactly r."""
-    step = 1 << r
-    acc = 0
-    lam = 1
-    while n - lam * step >= 0:
-        k = lam * step
-        acc += (
-            lam
-            * (-1) ** (lam - 1)
-            * (_comb(2 * n - 1, n - k) - _comb(2 * n - 1, n - k - 1))
-        )
-        lam += 1
-    return 4 ** (r + 1) * acc
 
 
 def count_paths_rdeg(n, r):
@@ -90,7 +89,11 @@ def count_paths_rdeg(n, r):
     if r == 0:
         # the four atomic steps reduce in zero steps only for n = 1
         return 4 if n == 1 else 0
-    return _rdeg_equal_coeff(n, r)
+    acc = 0
+    for k, delta in _path_terms(n, 1 << r):
+        lam = k >> r
+        acc += lam * (-1) ** (lam - 1) * delta
+    return 4 ** (r + 1) * acc
 
 
 def prob_rdeg(n, r):
@@ -102,12 +105,7 @@ def expected_rdeg(n):
     """Mean reduction degree of a uniform length-n path."""
     if n < 1:
         raise DomainError("need n >= 1")
-    acc = 0
-    for k in range(1, n + 1):
-        acc += (
-            8 * k * ((1 << v2(k)) - 1)
-            * (_comb(2 * n - 1, n - k) - _comb(2 * n - 1, n - k - 1))
-        )
+    acc = sum(8 * k * ((1 << v2(k)) - 1) * delta for k, delta in _path_terms(n))
     return Fraction(acc, 4**n)
 
 
@@ -115,15 +113,10 @@ def expected_fringe(n, r):
     """Mean size of the r-th fringe of a uniform length-n path."""
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
-    step = 1 << r
     acc = Fraction(0)
-    lam = 1
-    while n - lam * step >= 0:
-        k = lam * step
-        acc += Fraction(2 * lam**3 + lam, 3) * (
-            _comb(2 * n - 1, n - k) - _comb(2 * n - 1, n - k - 1)
-        )
-        lam += 1
+    for k, delta in _path_terms(n, 1 << r):
+        lam = k >> r
+        acc += Fraction(2 * lam**3 + lam, 3) * delta
     return Fraction(4 ** (r + 1), 4**n) * acc
 
 
@@ -132,9 +125,9 @@ def expected_total_fringe(n):
     if n < 1:
         raise DomainError("need n >= 1")
     acc = Fraction(0)
-    for k in range(1, n + 1):
+    for k, delta in _path_terms(n):
         weight = 2 * k**3 * (2 - Fraction(1, 1 << v2(k))) + k * (
             (1 << (v2(k) + 1)) - 1
         )
-        acc += weight * (_comb(2 * n - 1, n - k) - _comb(2 * n - 1, n - k - 1))
+        acc += weight * delta
     return Fraction(4, 3 * 4**n) * acc

@@ -5,12 +5,10 @@ series and closed-form backends can be asserted as equality.  The tree scan
 is a numpy pass with one row per tree, built bottom-up by the register rule;
 the path scan is a numpy pass with one row of step codes per path, reduced
 block by block by one kernel that the fringe sampler and the extremal-path
-check share.  Both scans run on the calling thread: their ``threads``
-argument is accepted for compatibility and changes neither the result nor
-the work done.  The cherry sampler runs the Markov chain that the cherry
-count follows under Remy's leaf insertion, with no tree built.  Samplers
-draw fixed-size chunks from streams split off one seed, so their output
-depends on the seed alone.
+check share.  Both scans run on the calling thread.  The cherry sampler
+runs the Markov chain that the cherry count follows under Remy's leaf
+insertion, with no tree built.  Samplers draw fixed-size chunks from
+streams split off one seed, so their output depends on the seed alone.
 
 This is the only module that imports numpy, and the command line imports
 it only for requests that enumerate or sample.  The size caps TREE_CAP and
@@ -68,15 +66,6 @@ class StatAccumulator:
         if self.max is None or x > self.max:
             self.max = x
 
-    def merge(self, other):
-        self.count += other.count
-        self.total += other.total
-        self.total_sq += other.total_sq
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-
     def mean(self):
         return Fraction(self.total, self.count)
 
@@ -107,35 +96,30 @@ class SeededGenerator:
         return np.random.default_rng(self.seed)
 
 
-def enumerate_trees(n, cap=TREE_CAP, left_size=None):
-    """All binary trees with n internal nodes, deterministic order.
-
-    left_size restricts to trees whose root has that left-subtree size;
-    tree_stats builds its rows in the same blocks and order.
-    """
+def enumerate_trees(n, cap=TREE_CAP):
+    """All binary trees with n internal nodes, deterministic order; tree_stats
+    builds its rows in the same order."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     if n > cap:
         raise ResourceCapError(f"tree enumeration capped at n = {cap}")
     if n == 0:
-        if left_size is None:
-            yield LEAF
+        yield LEAF
         return
-    sizes = range(n) if left_size is None else (left_size,)
-    for i in sizes:
+    for i in range(n):
         for left in enumerate_trees(i, cap=cap):
             for right in enumerate_trees(n - 1 - i, cap=cap):
                 yield Node(left, right)
 
 
-def enumerate_paths(n, cap=PATH_CAP, prefix=""):
+def enumerate_paths(n, cap=PATH_CAP):
     """All 4^n paths of length n in base-4 counter order over U,R,D,L."""
     if n < 1:
         raise DomainError("paths are nonempty")
     if n > cap:
         raise ResourceCapError(f"path enumeration capped at n = {cap}")
-    for tail in itertools.product(STEPS, repeat=n - len(prefix)):
-        yield prefix + "".join(tail)
+    for steps in itertools.product(STEPS, repeat=n):
+        yield "".join(steps)
 
 
 @dataclass
@@ -212,12 +196,9 @@ def _fold(acc, values):
             acc.add(x, weight)
 
 
-def tree_stats(n, r_max=None, threads=1, cap=TREE_CAP):
-    """Exact branch statistics over all trees of size n.
-
-    Every tree is one row of an exhaustive numpy scan; threads is accepted
-    for compatibility and ignored.
-    """
+def tree_stats(n, r_max=None, cap=TREE_CAP):
+    """Exact branch statistics over all trees of size n, one row of an
+    exhaustive numpy scan per tree."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     if n > cap:
@@ -389,12 +370,11 @@ def extremal_failure(n_max):
     return None
 
 
-def path_stats(n, r_max=None, threads=1, cap=PATH_CAP):
+def path_stats(n, r_max=None, cap=PATH_CAP):
     """Exact reduction-degree and fringe statistics over all length-n paths.
 
     Every path is one row of an exhaustive numpy scan in enumerate_paths
-    order, reduced block by block; threads is accepted for compatibility
-    and ignored.
+    order, reduced block by block.
     """
     if n < 1:
         raise DomainError("paths are nonempty")

@@ -2,9 +2,13 @@
 
 All generating-function recurrences of the toolkit live here: the
 register-bounded tree series, the branch moment series, the reduction-degree
-path series and the bivariate fringe series.  No floating point is used in
-this module; a division that does not come out integral raises
-ExactnessError instead of silently rounding.
+path series and the bivariate fringe series.  Each univariate family solves
+one functional equation f_{r+1} = a + b * f_r(sigma) with sigma(z) =
+z^2/(1-2z)^2, so one stage engine, ``_stages``, computes them all from a
+table of (seed, a, b) entries; every public function reads its result off
+the stages of one pass.  No floating point is used in this module; a
+division that does not come out integral raises ExactnessError instead of
+silently rounding.
 """
 
 import math
@@ -155,21 +159,20 @@ def _z(order):
     return TruncatedSeries.from_terms(order, {1: 1})
 
 
+def _zero(order):
+    return TruncatedSeries([0] * (order + 1))
+
+
+def _four_z(order):
+    return TruncatedSeries.from_terms(order, {1: 4})
+
+
 def sigma_series(order):
     """z^2/(1-2z)^2; coefficient of z^n is (n-1)*2^(n-2) for n >= 2."""
     c = [0] * (order + 1)
     for n in range(2, order + 1):
         c[n] = (n - 1) << (n - 2)
     return TruncatedSeries(c)
-
-
-def sigma_iterate(r, order):
-    """r-fold composition of sigma with itself (r = 0 gives z)."""
-    s = _z(order)
-    sig = sigma_series(order)
-    for _ in range(r):
-        s = s.compose(sig)
-    return s
 
 
 _BASE_NAMES = ("catalan_B", "inv_sqrt_1m4z", "F0_second", "chain_C", "L_all")
@@ -198,70 +201,83 @@ def base_series(name, order):
     return TruncatedSeries(c)
 
 
-def b_r_series(r, order):
-    """Trees reducible to a leaf in at most r steps (register <= r)."""
+def _chain(order):
+    return base_series("chain_C", order)
+
+
+# Every univariate family solves f_{k+1} = a + b * f_k(sigma) from f_0 = seed.
+# Each entry builds (seed, a, b) at one order; b is a series or an integer.
+_RECURRENCES = {
+    "B": lambda o: (_one(o), _one(o), _chain(o)),
+    "F1": lambda o: (base_series("inv_sqrt_1m4z", o), _zero(o), _chain(o)),
+    "F2": lambda o: (base_series("F0_second", o), _zero(o), _chain(o)),
+    "L": lambda o: (_four_z(o), _four_z(o), 4),
+    "sigma": lambda o: (_z(o), _zero(o), 1),
+}
+
+
+def _stages(family, r, order):
+    """The stages f_0..f_r of one family's sigma-recurrence, in order."""
     if r < 0:
         raise DomainError("r must be nonnegative")
-    f = _one(order)
-    chain = base_series("chain_C", order)
+    f, a, b = _RECURRENCES[family](order)
     sig = sigma_series(order)
+    stages = [f]
     for _ in range(r):
-        f = _one(order) + chain * f.compose(sig)
-    return f
+        f = a + b * f.compose(sig)
+        stages.append(f)
+    return stages
+
+
+def sigma_iterate(r, order):
+    """r-fold composition of sigma with itself (r = 0 gives z)."""
+    return _stages("sigma", r, order)[-1]
+
+
+def b_r_series(r, order):
+    """Trees reducible to a leaf in at most r steps (register <= r)."""
+    return _stages("B", r, order)[-1]
+
+
+def _last_difference(stages):
+    # f_r - f_{r-1}, with f_{-1} = 0
+    return stages[-1] - stages[-2] if len(stages) > 1 else stages[0]
 
 
 def b_r_equal_series(r, order):
     """Trees with register exactly r; the constant series 1 for r = 0."""
-    if r == 0:
-        return _one(order)
-    return b_r_series(r, order) - b_r_series(r - 1, order)
-
-
-def _chain_recurrence(seed, r, order):
-    f = base_series(seed, order)
-    chain = base_series("chain_C", order)
-    sig = sigma_series(order)
-    for _ in range(r):
-        f = chain * f.compose(sig)
-    return f
+    return _last_difference(_stages("B", r, order))
 
 
 def f1_series(r, order):
     """Sum over all size-n trees of the number of r-branches, per n."""
-    return _chain_recurrence("inv_sqrt_1m4z", r, order)
+    return _stages("F1", r, order)[-1]
 
 
 def f2_series(r, order):
     """Sum over all size-n trees of (#r-branches)(#r-branches - 1), per n."""
-    return _chain_recurrence("F0_second", r, order)
+    return _stages("F2", r, order)[-1]
 
 
 def l_r_series(r, order):
     """Paths with reduction degree <= r."""
-    if r < 0:
-        raise DomainError("r must be nonnegative")
-    f = TruncatedSeries.from_terms(order, {1: 4})
-    sig = sigma_series(order)
-    four_z = TruncatedSeries.from_terms(order, {1: 4})
-    for _ in range(r):
-        f = 4 * f.compose(sig) + four_z
-    return f
+    return _stages("L", r, order)[-1]
 
 
 def l_r_equal_series(r, order):
     """Paths with reduction degree exactly r."""
-    if r == 0:
-        return TruncatedSeries.from_terms(order, {1: 4})
-    return l_r_series(r, order) - l_r_series(r - 1, order)
+    return _last_difference(_stages("L", r, order))
 
 
 def branch_total_series(order):
-    """Sum over all size-n trees of the total branch count, per n."""
-    total = TruncatedSeries([0] * (order + 1))
-    r = 0
-    while (1 << r) - 1 <= order:
-        total = total + f1_series(r, order)
-        r += 1
+    """Sum over all size-n trees of the total branch count, per n.
+
+    A size-n tree has no r-branch once 2^r - 1 > n, so the sum stops at
+    the largest r with 2^r - 1 <= order.
+    """
+    total = _zero(order)
+    for f in _stages("F1", (order + 1).bit_length() - 1, order):
+        total = total + f
     return total
 
 

@@ -177,6 +177,21 @@ class TestTable:
             assert err == "redcalc: --order must be nonnegative, got -1\n"
 
     @pytest.mark.parametrize(
+        "family",
+        ("B", "Beq", "F1", "F2", "L", "Leq", "H", "sigma", "branch-total"),
+    )
+    def test_negative_series_r_is_domain_error(self, capsys, family):
+        argv = ("table", "series-coefficients", "--family", family, "--order", "5")
+        code, out, err = run(capsys, *argv, "--r", "-1")
+        if family == "branch-total":
+            # the total sums over every r, so it reads no --r
+            assert (code, err) == (0, "")
+            assert out == run(capsys, *argv, "--r", "1")[1]
+        else:
+            assert (code, out) == (3, "")
+            assert err == "redcalc: r must be nonnegative\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("r-branches-mean", "--n", "7", "--r", "1"),
@@ -254,6 +269,19 @@ class TestFigure:
             "--x-min", "9", "--x-max", "10", "--points", "3",
         )
         assert code == 5
+
+    @pytest.mark.parametrize("figure", tuple(cli._FIGURES))
+    def test_cap_checked_before_any_point(self, capsys, monkeypatch, figure):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return 0
+
+        monkeypatch.setitem(cli._FIGURES[figure], "exact", counted)
+        code, out, err = run(capsys, "figure", figure, "--x-max", "8")
+        assert (code, out, calls) == (5, "", [])
+        assert err == f"redcalc: figure grid capped at n = {cli.FIGURE_N_CAP}\n"
 
     def test_single_point_is_domain_error(self, capsys):
         code, out, err = run(

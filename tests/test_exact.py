@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,123 @@ def test_r_branch_mean_matches_series_random(n, r):
 def test_fringe_mean_matches_series_random(n, r):
     want = Fraction(series.fringe_moment_series(r, n)[n], 4**n)
     assert exact.expected_fringe(n, r) == want
+
+
+# The per-term loops the closed forms were first written with, kept verbatim
+# as references: the shared binomial-difference kernel (and any faster one
+# that replaces it) must reproduce them exactly.
+
+def _comb(n, k):
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+def reference_r_branches(n, r):
+    if r == 0:
+        return n + 1
+    step = 1 << r
+    acc = 0
+    lam = 1
+    while n + 1 - lam * step >= 0:
+        k = lam * step
+        acc += lam * (
+            _comb(2 * n, n + 1 - k) - 2 * _comb(2 * n, n - k) + _comb(2 * n, n - 1 - k)
+        )
+        lam += 1
+    return Fraction((n + 1) * acc, math.comb(2 * n, n))
+
+
+def reference_total_branches(n):
+    acc = Fraction(0)
+    for k in range(1, n + 2):
+        weight = (2 - Fraction(1, 1 << exact.v2(k))) * k
+        acc += weight * (
+            _comb(2 * n, n + 1 - k) - 2 * _comb(2 * n, n - k) + _comb(2 * n, n - 1 - k)
+        )
+    return Fraction(n + 1, math.comb(2 * n, n)) * acc
+
+
+def reference_rdeg_equal_coeff(n, r):
+    step = 1 << r
+    acc = 0
+    lam = 1
+    while n - lam * step >= 0:
+        k = lam * step
+        acc += (
+            lam
+            * (-1) ** (lam - 1)
+            * (_comb(2 * n - 1, n - k) - _comb(2 * n - 1, n - k - 1))
+        )
+        lam += 1
+    return 4 ** (r + 1) * acc
+
+
+def reference_rdeg(n):
+    acc = 0
+    for k in range(1, n + 1):
+        acc += (
+            8 * k * ((1 << exact.v2(k)) - 1)
+            * (_comb(2 * n - 1, n - k) - _comb(2 * n - 1, n - k - 1))
+        )
+    return Fraction(acc, 4**n)
+
+
+def reference_fringe(n, r):
+    step = 1 << r
+    acc = Fraction(0)
+    lam = 1
+    while n - lam * step >= 0:
+        k = lam * step
+        acc += Fraction(2 * lam**3 + lam, 3) * (
+            _comb(2 * n - 1, n - k) - _comb(2 * n - 1, n - k - 1)
+        )
+        lam += 1
+    return Fraction(4 ** (r + 1), 4**n) * acc
+
+
+def reference_total_fringe(n):
+    acc = Fraction(0)
+    for k in range(1, n + 1):
+        weight = 2 * k**3 * (2 - Fraction(1, 1 << exact.v2(k))) + k * (
+            (1 << (exact.v2(k) + 1)) - 1
+        )
+        acc += weight * (_comb(2 * n - 1, n - k) - _comb(2 * n - 1, n - k - 1))
+    return Fraction(4, 3 * 4**n) * acc
+
+
+_REFERENCE_N = range(161)
+_REFERENCE_R = range(9)
+
+
+class TestAgainstReferenceLoops:
+    def test_r_branches(self):
+        for n in _REFERENCE_N:
+            for r in _REFERENCE_R:
+                assert exact.expected_r_branches(n, r) == reference_r_branches(n, r)
+
+    def test_total_branches(self):
+        for n in _REFERENCE_N:
+            assert exact.expected_total_branches(n) == reference_total_branches(n)
+
+    def test_rdeg_counts(self):
+        for n in _REFERENCE_N[1:]:
+            for r in _REFERENCE_R[1:]:
+                want = reference_rdeg_equal_coeff(n, r)
+                assert exact.count_paths_rdeg(n, r) == want
+
+    def test_rdeg_mean(self):
+        for n in _REFERENCE_N[1:]:
+            assert exact.expected_rdeg(n) == reference_rdeg(n)
+
+    def test_fringe(self):
+        for n in _REFERENCE_N[1:]:
+            for r in _REFERENCE_R:
+                assert exact.expected_fringe(n, r) == reference_fringe(n, r)
+
+    def test_total_fringe(self):
+        for n in _REFERENCE_N[1:]:
+            assert exact.expected_total_fringe(n) == reference_total_fringe(n)
 
 
 class TestDomains:

@@ -154,6 +154,20 @@ class TestEqualitySeries:
     def test_sigma_iterate_zero_is_identity(self):
         assert sigma_iterate(0, 5).c == (0, 1, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("r", range(6))
+    def test_equal_series_are_consecutive_differences(self, r):
+        order = 33
+        if r == 0:
+            assert b_r_equal_series(0, order) == b_r_series(0, order)
+            assert l_r_equal_series(0, order) == l_r_series(0, order)
+            return
+        assert b_r_equal_series(r, order) == (
+            b_r_series(r, order) - b_r_series(r - 1, order)
+        )
+        assert l_r_equal_series(r, order) == (
+            l_r_series(r, order) - l_r_series(r - 1, order)
+        )
+
 
 class TestMomentSeries:
     def test_zero_branch_moment_counts_leaves(self):
@@ -174,6 +188,16 @@ class TestMomentSeries:
         # n=2: both trees are chains with 3 + 1 branches
         assert branch_total_series(4)[2] == 8
 
+    @pytest.mark.parametrize("order", range(1, 41))
+    def test_branch_total_sums_every_r_with_branches(self, order):
+        # a size-n tree can hold an r-branch only if 2^r - 1 <= n
+        want = TruncatedSeries([0] * (order + 1))
+        r = 0
+        while (1 << r) - 1 <= order:
+            want = want + f1_series(r, order)
+            r += 1
+        assert branch_total_series(order) == want
+
     def test_fringe_first_moment_matches_bivariate(self):
         for r in range(4):
             direct = fringe_moment_series(r, 9)
@@ -185,6 +209,19 @@ class TestMomentSeries:
             combined = fringe_moment_series(r, 9, "second_factorial_combined")
             via_h = h_r_bivariate(r, 9).eval_moment("second_raw")
             assert combined == via_h
+
+
+class TestDomain:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            b_r_series, b_r_equal_series, f1_series, f2_series,
+            l_r_series, l_r_equal_series, sigma_iterate, h_r_bivariate,
+        ],
+    )
+    def test_negative_r(self, family):
+        with pytest.raises(DomainError, match="r must be nonnegative"):
+            family(-1, 5)
 
 
 class TestBivariate:
