@@ -4,6 +4,10 @@ Three mutually independent exact backends (exhaustive enumeration, integer
 power-series recurrences, closed-form binomial sums) cross-validate each
 other bit for bit; a fourth backend evaluates the asymptotic expansions and
 their periodic fluctuations in floating point.
+
+The tree and path names below are imported from their modules on first
+access, so that ``import redcalc`` (and with it every CLI request) loads
+neither module unless it is used.
 """
 
 from .errors import (
@@ -14,29 +18,51 @@ from .errors import (
     RedcalcError,
     ResourceCapError,
 )
-from .trees import (
-    LEAF,
-    Node,
-    BranchCounts,
-    parse_tree,
-    format_tree,
-    tree_size,
-    reduce_tree,
-    register,
-    branch_counts,
-    almost_complete,
-    chain_tree,
-)
-from .paths import (
-    parse_path,
-    reduce_path,
-    rdeg,
-    fringe,
-    fringe_sizes,
-    extremal_path,
-)
 
 __version__ = "0.1.0"
+
+# public name -> the submodule that defines it
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "LEAF",
+            "Node",
+            "BranchCounts",
+            "parse_tree",
+            "format_tree",
+            "tree_size",
+            "reduce_tree",
+            "register",
+            "branch_counts",
+            "almost_complete",
+            "chain_tree",
+        ),
+        "trees",
+    ),
+    **dict.fromkeys(
+        (
+            "parse_path",
+            "reduce_path",
+            "rdeg",
+            "fringe",
+            "fringe_sizes",
+            "extremal_path",
+        ),
+        "paths",
+    ),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "RedcalcError",
@@ -45,22 +71,6 @@ __all__ = [
     "MismatchError",
     "ResourceCapError",
     "ExactnessError",
-    "LEAF",
-    "Node",
-    "BranchCounts",
-    "parse_tree",
-    "format_tree",
-    "tree_size",
-    "reduce_tree",
-    "register",
-    "branch_counts",
-    "almost_complete",
-    "chain_tree",
-    "parse_path",
-    "reduce_path",
-    "rdeg",
-    "fringe",
-    "fringe_sizes",
-    "extremal_path",
+    *_LAZY,
     "__version__",
 ]

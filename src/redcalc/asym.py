@@ -9,7 +9,7 @@ and are precomputed once per (family, K) pair.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import DomainError
@@ -73,13 +73,14 @@ def map_sigma(z):
 _FAMILIES = ("branches-total", "rdeg-mean", "rdeg-var", "fringe-total")
 
 
-@dataclass(frozen=True)
-class FluctuationSpec:
-    """Fourier data of one 1-periodic, mean-zero fluctuation."""
+# namedtuples rather than dataclasses, with the same fields, equality and
+# repr, immutable too: importing dataclasses also imports inspect, a large
+# share of the cold start of a CLI request that needs neither
+class FluctuationSpec(namedtuple("FluctuationSpec", "family big_k coeffs")):
+    """Fourier data of one 1-periodic, mean-zero fluctuation: coeffs holds
+    the coefficient of e^{2 pi i k x} for k = 1..K."""
 
-    family: str
-    big_k: int
-    coeffs: tuple  # coefficient of e^{2 pi i k x} for k = 1..K
+    __slots__ = ()
 
     def __call__(self, x):
         # conjugate symmetry: the k and -k terms sum to twice the real part
@@ -140,13 +141,9 @@ def delta_branches(x, big_k=20):
 # ---------------------------------------------------------------------------
 # expansions
 
-@dataclass(frozen=True)
-class AsymptoticValue:
-    value: float
-    error_order: str
-    n: int
-    r: int = None
-    big_k: int = None
+AsymptoticValue = namedtuple(
+    "AsymptoticValue", "value error_order n r big_k", defaults=(None, None)
+)
 
 
 def asy_r_branch_mean(n, r):

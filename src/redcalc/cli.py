@@ -8,19 +8,22 @@ Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 domain error
 (including an --out file that cannot be written), 4 cross-backend mismatch,
 5 resource cap, 6 internal error (a bug; the traceback goes to stderr).
 
-Only the requests that enumerate or sample (table --method oracle, table
---check, verify) import the oracle backend and with it numpy; the others
-start without them.
+Every command runs in a fresh interpreter, so each request imports only
+the modules it uses beyond asym, which all of them load: tree loads trees,
+path loads paths, figure loads exact, table loads the backend its --method
+names (series for series-coefficients, exact for rdeg-dist, none for the
+asymptotic method), table --check every applicable backend, and verify all
+of them.  Only the requests that enumerate or sample (table --method
+oracle, table --check, verify) import the oracle and with it numpy.
 """
 
 import argparse
 import math
 import os
 import sys
-import traceback
 from fractions import Fraction
 
-from . import asym, exact, series
+from . import asym
 from .errors import (
     PATH_CAP,
     TREE_CAP,
@@ -28,15 +31,6 @@ from .errors import (
     MismatchError,
     RedcalcError,
     ResourceCapError,
-)
-from .paths import fringe_sizes, parse_path, rdeg, reduce_path
-from .trees import (
-    almost_complete,
-    branch_counts,
-    format_tree,
-    parse_tree,
-    reduce_tree,
-    register,
 )
 
 # largest n a figure grid may hold: exact.expected_total_branches takes
@@ -47,23 +41,43 @@ EXIT_INTERNAL_ERROR = 6
 
 
 def _threads(args):
-    """Thread count from --threads or REDCALC_THREADS.  The enumeration
-    scans run on one thread whatever the value; it changes no output."""
+    """Thread count from --threads or REDCALC_THREADS, at least 1.  The
+    enumeration scans run on one thread whatever the value; it changes no
+    output."""
     if args.threads is not None:
-        return args.threads
-    env = os.environ.get("REDCALC_THREADS")
-    if env is not None:
+        threads, source = args.threads, "--threads"
+    else:
+        env = os.environ.get("REDCALC_THREADS")
+        if env is None:
+            return os.cpu_count() or 1
         try:
-            return int(env)
+            threads, source = int(env), "REDCALC_THREADS"
         except ValueError:
             raise DomainError(
                 f"REDCALC_THREADS must be an integer, got {env!r}"
             ) from None
-    return os.cpu_count() or 1
+    if threads < 1:
+        raise DomainError(f"{source} must be at least 1, got {threads}")
+    return threads
+
+
+# The backends are imported on first use, so that a request loads only
+# the ones it computes.
+
+def _exact():
+    from . import exact
+
+    return exact
+
+
+def _series():
+    from . import series
+
+    return series
 
 
 def _oracle():
-    """The oracle module, imported on first use since it loads numpy."""
+    """The oracle module; it also loads numpy."""
     from . import oracle
 
     return oracle
@@ -91,6 +105,8 @@ def _fmt_rational(q):
 # tree / path
 
 def cmd_tree(args):
+    from .trees import branch_counts, format_tree, parse_tree, reduce_tree, register
+
     t = parse_tree(args.tree)
     if args.action == "reduce":
         _emit(args, format_tree(reduce_tree(t)) + "\n")
@@ -104,6 +120,8 @@ def cmd_tree(args):
 
 
 def cmd_path(args):
+    from .paths import fringe_sizes, parse_path, rdeg, reduce_path
+
     p = parse_path(args.path)
     if args.action == "reduce":
         _emit(args, reduce_path(p) + "\n")
@@ -119,14 +137,14 @@ def cmd_path(args):
 
 # univariate series-coefficients families: name -> f(r, order)
 _SERIES_FAMILIES = {
-    "B": series.b_r_series,
-    "Beq": series.b_r_equal_series,
-    "F1": series.f1_series,
-    "F2": series.f2_series,
-    "L": series.l_r_series,
-    "Leq": series.l_r_equal_series,
-    "sigma": series.sigma_iterate,
-    "branch-total": lambda r, order: series.branch_total_series(order),
+    "B": lambda r, order: _series().b_r_series(r, order),
+    "Beq": lambda r, order: _series().b_r_equal_series(r, order),
+    "F1": lambda r, order: _series().f1_series(r, order),
+    "F2": lambda r, order: _series().f2_series(r, order),
+    "L": lambda r, order: _series().l_r_series(r, order),
+    "Leq": lambda r, order: _series().l_r_equal_series(r, order),
+    "sigma": lambda r, order: _series().sigma_iterate(r, order),
+    "branch-total": lambda r, order: _series().branch_total_series(order),
 }
 
 
@@ -156,9 +174,9 @@ def _quantity_backends(quantity, n, r, cap_trees, cap_paths):
         if n < 0 or r < 0:
             raise DomainError("n and r must be nonnegative")
         out = {
-            "exact": lambda: exact.expected_r_branches(n, r),
+            "exact": lambda: _exact().expected_r_branches(n, r),
             "series": lambda: Fraction(
-                series.f1_series(r, max(n, 1))[n], series.catalan(n)
+                _series().f1_series(r, max(n, 1))[n], _series().catalan(n)
             ),
         }
         if n <= cap_trees:
@@ -169,9 +187,9 @@ def _quantity_backends(quantity, n, r, cap_trees, cap_paths):
         if n < 0:
             raise DomainError("n must be nonnegative")
         out = {
-            "exact": lambda: exact.expected_total_branches(n),
+            "exact": lambda: _exact().expected_total_branches(n),
             "series": lambda: Fraction(
-                series.branch_total_series(max(n, 1))[n], series.catalan(n)
+                _series().branch_total_series(max(n, 1))[n], _series().catalan(n)
             ),
         }
         if n <= cap_trees:
@@ -181,7 +199,7 @@ def _quantity_backends(quantity, n, r, cap_trees, cap_paths):
     elif quantity == "rdeg-mean":
         if n < 1:
             raise DomainError("need n >= 1")
-        out = {"exact": lambda: exact.expected_rdeg(n)}
+        out = {"exact": lambda: _exact().expected_rdeg(n)}
         if n <= cap_paths:
             out["oracle"] = lambda: _oracle().path_stats(
                 n, cap=cap_paths
@@ -190,9 +208,9 @@ def _quantity_backends(quantity, n, r, cap_trees, cap_paths):
         if n < 1 or r < 0:
             raise DomainError("need n >= 1 and r >= 0")
         out = {
-            "exact": lambda: exact.expected_fringe(n, r),
+            "exact": lambda: _exact().expected_fringe(n, r),
             "series": lambda: Fraction(
-                series.fringe_moment_series(r, max(n, 1))[n], 4**n
+                _series().fringe_moment_series(r, max(n, 1))[n], 4**n
             ),
         }
         if n <= cap_paths:
@@ -202,7 +220,7 @@ def _quantity_backends(quantity, n, r, cap_trees, cap_paths):
     elif quantity == "fringe-total-mean":
         if n < 1:
             raise DomainError("need n >= 1")
-        out = {"exact": lambda: exact.expected_total_fringe(n)}
+        out = {"exact": lambda: _exact().expected_total_fringe(n)}
         if n <= cap_paths:
             out["oracle"] = lambda: _oracle().path_stats(
                 n, cap=cap_paths
@@ -231,7 +249,6 @@ _NEEDS_R = ("r-branches-mean", "fringe-mean")
 
 
 def cmd_table(args):
-    _threads(args)  # validates REDCALC_THREADS; the scans use one thread
     if args.quantity != "series-coefficients" and args.n is None:
         raise DomainError(f"table {args.quantity} needs --n")
     if args.quantity in _NEEDS_R and args.r is None:
@@ -242,7 +259,7 @@ def cmd_table(args):
         r = args.r if args.r is not None else 1
         order = args.order
         if args.family == "H":
-            h = series.h_r_bivariate(r, order)
+            h = _series().h_r_bivariate(r, order)
             if args.format == "csv":
                 lines = ["family,r,n,v_degree,coeff"]
                 for n in range(order + 1):
@@ -262,10 +279,12 @@ def cmd_table(args):
         return 0
 
     if args.quantity == "rdeg-dist":
+        from .exact import count_paths_rdeg
+
         n = args.n
         rows = []
         for r in range(max(n.bit_length() - 1, 1) + 1):
-            c = exact.count_paths_rdeg(n, r)
+            c = count_paths_rdeg(n, r)
             if c:
                 rows.append((r, c))
         if args.check and n <= args.cap_paths:
@@ -321,13 +340,13 @@ def cmd_table(args):
 
 _FIGURES = {
     "branches-fluctuation": dict(
-        exact=exact.expected_total_branches,
+        exact=lambda n: _exact().expected_total_branches(n),
         family="branches-total",
         smooth=asym.asy_total_branches_smooth,
         default_range=(2.0, 5.0),
     ),
     "fringe-fluctuation": dict(
-        exact=exact.expected_total_fringe,
+        exact=lambda n: _exact().expected_total_fringe(n),
         family="fringe-total",
         smooth=asym.asy_total_fringe_smooth,
         default_range=(1.0, 4.0),
@@ -339,10 +358,18 @@ def figure_rows(figure, x_min, x_max, points, terms):
     """Grid rows (x, n, exact, smooth, residual, delta) for one figure."""
     if points < 2:
         raise DomainError("a figure grid needs at least 2 points")
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise DomainError(
+            f"--x-min and --x-max must be finite, got {x_min} and {x_max}"
+        )
+    # 4^x is over the cap well before x_cap, so a larger x skips 4.0**x,
+    # which overflows past x = 512, and so does the nan x that an
+    # overflowing x_max - x_min gives
+    x_cap = math.log(FIGURE_N_CAP, 4.0) + 1.0
     grid = []  # the whole grid is checked against the cap before any point
     for i in range(points):
         x = x_min + (x_max - x_min) * i / (points - 1)
-        n = round(4.0**x)
+        n = round(4.0**x) if x < x_cap else math.inf
         if n > FIGURE_N_CAP:
             raise ResourceCapError(f"figure grid capped at n = {FIGURE_N_CAP}")
         grid.append(n)
@@ -377,6 +404,8 @@ def cmd_figure(args):
 # verify
 
 def _verify_identities(order):
+    from . import exact, series
+
     cat = series.base_series("catalan_B", order)
     sig = series.sigma_series(order)
     chain = series.base_series("chain_C", order)
@@ -418,6 +447,8 @@ def _oracle_stats(tree_max, path_max, threads):
 
 
 def _verify_three_way(trees, paths):
+    from . import exact, series
+
     for n, st in trees.items():
         order = max(n, 1)
         for r, acc in enumerate(st.per_r):
@@ -457,6 +488,8 @@ def _verify_three_way(trees, paths):
 
 
 def _verify_bounds(trees, paths, extremal_max):
+    from .trees import almost_complete, format_tree, reduce_tree
+
     for n, st in trees.items():
         for r, acc in enumerate(st.per_r):
             if r == 0:
@@ -503,6 +536,8 @@ def _verify_bounds(trees, paths, extremal_max):
 
 
 def _verify_residuals():
+    from . import exact
+
     for r in (1, 2, 3):
         diff = abs(
             asym.asy_r_branch_mean(100, r).value
@@ -544,7 +579,6 @@ def _verify_clt(seed, samples, n):
 
 
 def cmd_verify(args):
-    threads = _threads(args)
     if args.full:
         scale = dict(
             order=64, tree_max=12, path_max=10, extremal_max=4096,
@@ -555,7 +589,9 @@ def cmd_verify(args):
             order=32, tree_max=8, path_max=7, extremal_max=512,
             clt_samples=20000, clt_n=200,
         )
-    trees, paths = _oracle_stats(scale["tree_max"], scale["path_max"], threads)
+    trees, paths = _oracle_stats(
+        scale["tree_max"], scale["path_max"], args.threads
+    )
     groups = [
         ("identities", lambda: _verify_identities(scale["order"])),
         ("three-way-cross-validation", lambda: _verify_three_way(trees, paths)),
@@ -666,11 +702,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked for every command, though only verify passes it on
+        args.threads = _threads(args)
         return args.func(args)
     except RedcalcError as e:
         print(f"redcalc: {e}", file=sys.stderr)
         return e.exit_code
     except Exception as e:
+        import traceback
+
         print(f"redcalc: internal error: {e!r}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL_ERROR

@@ -120,11 +120,23 @@ def bernoulli(m):
     """Exact Bernoulli number B_m (B_1 = -1/2), as a Fraction."""
     if m == 0:
         return Fraction(1)
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0
+    if m > 1 and m % 2:
+        return Fraction(0)
+    # sum_{j=0}^{m} C(m+1, j) B_j = 0, without its zero odd terms past B_1
     acc = Fraction(0)
     for j in range(m):
-        acc += math.comb(m + 1, j) * bernoulli(j)
+        if j < 2 or j % 2 == 0:
+            acc += math.comb(m + 1, j) * bernoulli(j)
     return -acc / (m + 1)
+
+
+@lru_cache(maxsize=None)
+def _em_weights():
+    """B_{2j}/(2j)! for j = 1..15, the Euler-Maclaurin correction weights;
+    built on first use, not on every zeta call."""
+    return tuple(
+        float(bernoulli(2 * j) / math.factorial(2 * j)) for j in range(1, 16)
+    )
 
 
 def _zeta_em(s, order):
@@ -155,7 +167,7 @@ def _zeta_em(s, order):
     # Bernoulli corrections B_{2j}/(2j)! * (s)_{2j-1} * N^{-s-2j+1}
     p, p1, p2 = 1.0 + 0.0j, 0.0j, 0.0j  # Pochhammer product and derivatives
     scale = float(big_n)  # N^{1-2j} deficit relative to npow, built up stepwise
-    for j in range(1, 16):
+    for j, weight in enumerate(_em_weights(), start=1):
         for i in (2 * j - 3, 2 * j - 2):
             if i < 0:
                 continue
@@ -164,8 +176,7 @@ def _zeta_em(s, order):
             p1 = p1 * f + p
             p = p * f
         scale /= big_n * big_n
-        coeff = float(bernoulli(2 * j) / math.factorial(2 * j)) * scale
-        base = coeff * npow
+        base = weight * scale * npow
         z0 += base * p
         z1 += base * (p1 - ln * p)
         z2 += base * (p2 - 2.0 * ln * p1 + ln * ln * p)

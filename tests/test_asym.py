@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -221,3 +222,70 @@ class TestTotalFringe:
             )
         with pytest.raises(DomainError):
             asym.asy_total_fringe_smooth(1)
+
+
+class TestBitPins:
+    """Bit patterns of the floating-point backend, recorded with float.hex;
+    a refactor of special or asym must leave every one unchanged."""
+
+    # sha256 (first 32 hex digits) of the space-joined float.hex of the real
+    # and imaginary parts of fluctuation(family, 20).coeffs, k = 1..20
+    COEFFS = {
+        "branches-total": "6fef63fb10511f9cdb197c1af7480690",
+        "rdeg-mean": "a4a49d4b832f34f90fe4e73f07ba4d5e",
+        "rdeg-var": "1a0c7c4154fa9e8f343bca36ef635658",
+        "fringe-total": "e36db11533a5076915acf6247b2dcc89",
+    }
+
+    # n -> total branch mean, rdeg mean, rdeg variance, total fringe mean
+    EXPANSIONS = {
+        16: ("0x1.6faf2d0904eecp+4", "0x1.2a14bafeb860ap+1",
+             "0x1.cbf384d11b349p-3", "0x1.5e523c1391848p+4"),
+        256: ("0x1.57504825e5a45p+8", "0x1.150a5d7f5c305p+2",
+              "0x1.cbf384d11b348p-3", "0x1.568fce6be3c2ep+8"),
+        1024: ("0x1.55debcb42413ap+10", "0x1.550a5d7f5c305p+2",
+               "0x1.cbf384d11b347p-3", "0x1.55b948f04e461p+10"),
+        4096: ("0x1.557a59d7b3afap+12", "0x1.950a5d7f5c305p+2",
+               "0x1.cbf384d11b346p-3", "0x1.5573a79168e6dp+12"),
+    }
+
+    def test_zeta_prime_at_minus_one(self):
+        assert asym._zeta_prime_at_minus_one().hex() == "-0x1.52c8521215340p-3"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fluctuation_coefficients(self, family):
+        coeffs = asym.fluctuation(family, 20).coeffs
+        text = " ".join(p.hex() for c in coeffs for p in (c.real, c.imag))
+        digest = hashlib.sha256(text.encode()).hexdigest()[:32]
+        assert (len(coeffs), digest) == (20, self.COEFFS[family])
+
+    @pytest.mark.parametrize("n", sorted(EXPANSIONS))
+    def test_expansions(self, n):
+        got = (
+            asym.asy_total_branches_mean(n).value,
+            asym.asy_rdeg(n).value,
+            asym.asy_rdeg(n, which="variance").value,
+            asym.asy_total_fringe_mean(n).value,
+        )
+        assert tuple(v.hex() for v in got) == self.EXPANSIONS[n]
+
+    def test_records_keep_fields_and_repr(self):
+        v = asym.asy_r_branch_mean(10, 2)
+        assert repr(v) == (
+            "AsymptoticValue(value=0.964921875, error_order='O(n^-3)', "
+            "n=10, r=2, big_k=None)"
+        )
+        assert v == asym.asy_r_branch_mean(10, 2)
+        assert (v.value, v.error_order, v.n, v.r, v.big_k) == (
+            0.964921875, "O(n^-3)", 10, 2, None
+        )
+        spec = asym.fluctuation("rdeg-mean", 1)
+        assert repr(spec) == (
+            "FluctuationSpec(family='rdeg-mean', big_k=1, "
+            "coeffs=((-0.015198479884167166-0.01352242387987904j),))"
+        )
+        assert (spec.family, spec.big_k, len(spec.coeffs)) == ("rdeg-mean", 1, 1)
+        with pytest.raises(AttributeError):
+            v.value = 0.0
+        with pytest.raises(AttributeError):
+            spec.coeffs = ()

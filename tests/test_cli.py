@@ -167,6 +167,34 @@ class TestTable:
         assert (code, out) == (3, "")
         assert err.startswith("redcalc: REDCALC_THREADS") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        (
+            ("table", "r-branches-mean", "--n", "4", "--r", "1"),
+            ("verify", "--quick"),
+            ("tree", "register", "(. .)"),
+            ("path", "rdeg", "RU"),
+            ("figure", "fringe-fluctuation", "--points", "2"),
+        ),
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "flag, env",
+        [("0", None), ("-4", None), (None, "0"), (None, "-4"), ("0", "2")],
+    )
+    def test_threads_below_one_is_domain_error(
+        self, capsys, monkeypatch, command, flag, env
+    ):
+        monkeypatch.delenv("REDCALC_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("REDCALC_THREADS", env)
+        argv = command if flag is None else (*command, f"--threads={flag}")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        source = "--threads" if flag is not None else "REDCALC_THREADS"
+        value = flag if flag is not None else env
+        assert err == f"redcalc: {source} must be at least 1, got {value}\n"
+
     def test_negative_order_is_domain_error(self, capsys):
         for family in ("B", "H"):
             code, out, err = run(
@@ -283,6 +311,30 @@ class TestFigure:
         assert (code, out, calls) == (5, "", [])
         assert err == f"redcalc: figure grid capped at n = {cli.FIGURE_N_CAP}\n"
 
+    @pytest.mark.parametrize("flag", ("--x-min", "--x-max"))
+    @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+    def test_non_finite_range_is_domain_error(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, "figure", "fringe-fluctuation", f"{flag}={value}"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("redcalc: --x-min and --x-max must be finite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "x_range", [("1000", "1001"), ("-1e308", "1e308"), ("3", "1e308")]
+    )
+    def test_range_beyond_float_is_capped(self, capsys, x_range):
+        # 4.0**x overflows past x = 512, and x_max - x_min may overflow to
+        # a nan grid point; either way the grid is over the cap
+        x_min, x_max = x_range
+        code, out, err = run(
+            capsys, "figure", "branches-fluctuation",
+            f"--x-min={x_min}", f"--x-max={x_max}", "--points", "3",
+        )
+        assert (code, out) == (5, "")
+        assert err == f"redcalc: figure grid capped at n = {cli.FIGURE_N_CAP}\n"
+
     def test_single_point_is_domain_error(self, capsys):
         code, out, err = run(
             capsys, "figure", "branches-fluctuation", "--points", "1"
@@ -378,23 +430,33 @@ class TestVerify:
 
 
 # runs cli.main on its arguments in a fresh interpreter and prints the exit
-# code, the output and which of numpy and the oracle got imported
+# code, the output and every module loaded from the import of cli on
 _FRESH_CHILD = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from redcalc import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(sys.argv[1:])
-heavy = [m for m in ("numpy", "redcalc.oracle") if m in sys.modules]
-print(json.dumps([code, out.getvalue(), heavy]))
+print(json.dumps([code, out.getvalue(), sorted(set(sys.modules) - before)]))
+"""
+
+# imports the package alone and prints the redcalc modules that loaded and
+# the names of __all__ that do not resolve
+_IMPORT_CHILD = """
+import json, sys
+import redcalc
+loaded = sorted(m for m in sys.modules if m.startswith("redcalc"))
+missing = [name for name in redcalc.__all__ if not hasattr(redcalc, name)]
+print(json.dumps([loaded, missing]))
 """
 
 
-def run_fresh(*argv):
+def _fresh(child, *argv):
     src = os.path.dirname(os.path.dirname(redcalc.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_CHILD, *argv],
+        [sys.executable, "-c", child, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -404,38 +466,89 @@ def run_fresh(*argv):
     return json.loads(proc.stdout)
 
 
+def run_fresh(*argv):
+    """(exit code, output, loaded) of a request in a fresh interpreter;
+    loaded lists the modules imported from the import of cli on."""
+    return _fresh(_FRESH_CHILD, *argv)
+
+
+# the modules a request may leave unloaded
+_OPTIONAL = (
+    "numpy",
+    "redcalc.exact",
+    "redcalc.oracle",
+    "redcalc.paths",
+    "redcalc.series",
+    "redcalc.trees",
+)
+
+_ASYMPTOTIC = (
+    "table", "branches-total-mean", "--n", "1024",
+    "--method", "asymptotic", "--threads", "1",
+)
+
+# request -> the optional modules it loads
+_COLD_REQUESTS = {
+    ("table", "r-branches-mean", "--n", "20", "--r", "1", "--method", "exact"):
+        ["redcalc.exact"],
+    ("table", "fringe-mean", "--n", "12", "--r", "2", "--method", "series"):
+        ["redcalc.series"],
+    _ASYMPTOTIC: [],
+    ("figure", "branches-fluctuation"): ["redcalc.exact"],
+    ("tree", "register", "((. .) (. .))"): ["redcalc.trees"],
+    ("path", "rdeg", "RRUDLL"): ["redcalc.paths"],
+}
+
+
+def _optional(loaded):
+    return [m for m in loaded if m in _OPTIONAL]
+
+
 class TestColdStart:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("table", "r-branches-mean", "--n", "20", "--r", "1", "--method", "exact"),
-            ("table", "fringe-mean", "--n", "12", "--r", "2", "--method", "series"),
-            (
-                "table", "branches-total-mean", "--n", "1024",
-                "--method", "asymptotic", "--threads", "1",
-            ),
-            ("figure", "branches-fluctuation"),
-            ("tree", "register", "((. .) (. .))"),
-            ("path", "rdeg", "RRUDLL"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", tuple(_COLD_REQUESTS))
     def test_no_enumeration_no_numpy(self, argv):
-        code, _, heavy = run_fresh(*argv)
+        code, _, loaded = run_fresh(*argv)
         assert code == 0
-        assert heavy == []
+        assert _optional(loaded) == _COLD_REQUESTS[argv]
+        assert "traceback" not in loaded
+
+    def test_asymptotic_request_skips_dataclasses(self):
+        code, _, loaded = run_fresh(*_ASYMPTOTIC)
+        assert code == 0
+        assert "dataclasses" not in loaded and "inspect" not in loaded
+
+    def test_package_import_loads_only_errors(self):
+        loaded, missing = _fresh(_IMPORT_CHILD)
+        assert (loaded, missing) == (["redcalc", "redcalc.errors"], [])
+
+    def test_all_names_resolve_to_their_modules(self):
+        from redcalc import paths, trees
+
+        for name in redcalc.__all__:
+            value = getattr(redcalc, name)
+            for module in (trees, paths):
+                if name in module.__all__:
+                    assert value is getattr(module, name)
+        with pytest.raises(AttributeError):
+            getattr(redcalc, "no_such_name")
 
     def test_oracle_method(self, capsys):
         argv = ("table", "rdeg-mean", "--n", "6")
-        code, out, heavy = run_fresh(*argv, "--method", "oracle")
-        assert (code, heavy) == (0, ["numpy", "redcalc.oracle"])
+        code, out, loaded = run_fresh(*argv, "--method", "oracle")
+        assert code == 0
+        assert _optional(loaded) == [
+            "numpy", "redcalc.oracle", "redcalc.paths", "redcalc.trees"
+        ]
         assert out == run(capsys, *argv, "--method", "exact")[1]
 
     def test_check(self):
-        code, out, heavy = run_fresh(
+        code, out, loaded = run_fresh(
             "table", "fringe-mean", "--n", "6", "--r", "1", "--check"
         )
-        assert (code, out, heavy) == (0, "7/4 (1.75)\n", ["numpy", "redcalc.oracle"])
+        assert (code, out) == (0, "7/4 (1.75)\n")
+        assert _optional(loaded) == list(_OPTIONAL)
 
     def test_verify_quick(self):
-        code, out, heavy = run_fresh("verify", "--quick")
-        assert (code, out.count("PASS"), heavy) == (1, 4, ["numpy", "redcalc.oracle"])
+        code, out, loaded = run_fresh("verify", "--quick")
+        assert (code, out.count("PASS")) == (1, 4)
+        assert _optional(loaded) == list(_OPTIONAL)

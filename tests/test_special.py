@@ -90,6 +90,16 @@ class TestBernoulli:
         assert bernoulli(3) == 0
         assert bernoulli(12) == Fraction(-691, 2730)
 
+    def test_pinned_through_30(self):
+        want = [
+            "1", "-1/2", "1/6", "0", "-1/30", "0", "1/42", "0", "-1/30", "0",
+            "5/66", "0", "-691/2730", "0", "7/6", "0", "-3617/510", "0",
+            "43867/798", "0", "-174611/330", "0", "854513/138", "0",
+            "-236364091/2730", "0", "8553103/6", "0", "-23749461029/870",
+            "0", "8615841276005/14322",
+        ]
+        assert [str(bernoulli(m)) for m in range(31)] == want
+
 
 ZETA_GRID = [
     2.0,
