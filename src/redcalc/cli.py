@@ -263,8 +263,8 @@ def cmd_table(args):
             if args.format == "csv":
                 lines = ["family,r,n,v_degree,coeff"]
                 for n in range(order + 1):
-                    for m in sorted(h.row(n)):
-                        lines.append(f"H,{r},{n},{m},{h.row(n)[m]}")
+                    row = h.row(n)
+                    lines += [f"H,{r},{n},{m},{row[m]}" for m in sorted(row)]
             else:
                 lines = [f"[z^{n}] {_poly_in_v(h.row(n))}" for n in range(order + 1)]
             _emit(args, "\n".join(lines) + "\n")

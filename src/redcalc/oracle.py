@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -78,6 +79,29 @@ class StatAccumulator:
         return self.total_sq - self.total
 
 
+class _PerR(Sequence):
+    """StatAccumulators for r = 0..r_max, stored only up to the largest
+    attainable r: every larger r has the statistic 0 on all count objects,
+    so a huge r_max costs nothing."""
+
+    def __init__(self, stored, r_max, count):
+        self.stored, self.r_max, self.count = stored, r_max, count
+
+    def __len__(self):
+        return self.r_max + 1
+
+    def __getitem__(self, r):
+        r = range(len(self))[r]  # negative r counts from the end, as in a list
+        if r < len(self.stored):
+            return self.stored[r]
+        return StatAccumulator(self.count, 0, 0, 0, 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 class SeededGenerator:
     """Splittable deterministic randomness; children derive from the parent
     seed by hashing, so the stream layout is independent of thread count."""
@@ -125,7 +149,7 @@ def enumerate_paths(n, cap=PATH_CAP):
 @dataclass
 class TreeStats:
     n: int
-    per_r: list  # StatAccumulator for the r-branch count, r = 0..r_max
+    per_r: Sequence  # StatAccumulator for the r-branch count, r = 0..r_max
     total: StatAccumulator
     register_hist: dict
 
@@ -206,21 +230,18 @@ def tree_stats(n, r_max=None, cap=TREE_CAP):
     if r_max is None:
         r_max = max((n + 1).bit_length() - 1, 1)
     width = (n + 1).bit_length()  # registers of size-n trees are <= log2(n+1)
-    per_r = [StatAccumulator() for _ in range(r_max + 1)]
+    per_r = [StatAccumulator() for _ in range(min(r_max, width - 1) + 1)]
     total = StatAccumulator()
     hist = np.zeros(width, dtype=np.int64)
     regs, cnts = _tree_tables(n, width)
     blocks = _tree_blocks(n, regs, cnts) if n else [(regs[0], cnts[0])]
     for reg, cnt in blocks:
         for r, acc in enumerate(per_r):
-            if r < width:
-                _fold(acc, cnt[:, r])
-            else:
-                acc.add(0, len(reg))
+            _fold(acc, cnt[:, r])
         _fold(total, cnt.sum(axis=1))
         hist += np.bincount(reg, minlength=width)
     register_hist = {r: c for r, c in enumerate(hist.tolist()) if c}
-    return TreeStats(n, per_r, total, register_hist)
+    return TreeStats(n, _PerR(per_r, r_max, total.count), total, register_hist)
 
 
 @dataclass
@@ -228,7 +249,7 @@ class PathStats:
     n: int
     rdeg_hist: dict
     rdeg: StatAccumulator
-    per_r: list  # StatAccumulator for the r-th fringe size, r = 0..r_max
+    per_r: Sequence  # StatAccumulator for the r-th fringe size, r = 0..r_max
     total: StatAccumulator
 
 
@@ -384,7 +405,7 @@ def path_stats(n, r_max=None, cap=PATH_CAP):
         r_max = max(n.bit_length() - 1, 1)
     depth = n.bit_length() - 1  # the largest reduction degree, log2 n
     rdeg_acc = StatAccumulator()
-    per_r = [StatAccumulator() for _ in range(r_max + 1)]
+    per_r = [StatAccumulator() for _ in range(min(r_max, depth) + 1)]
     total = StatAccumulator()
     hist = np.zeros(depth + 1, dtype=np.int64)
     rows = max(1, _BLOCK_CELLS // n)
@@ -396,13 +417,10 @@ def path_stats(n, r_max=None, cap=PATH_CAP):
         _fold(rdeg_acc, rdeg)
         hist += np.bincount(rdeg, minlength=depth + 1)
         for r, acc in enumerate(per_r):
-            if r <= depth:
-                _fold(acc, table[:, r])
-            else:
-                acc.add(0, len(table))
+            _fold(acc, table[:, r])
         _fold(total, table.sum(axis=1))
     rdeg_hist = {d: c for d, c in enumerate(hist.tolist()) if c}
-    return PathStats(n, rdeg_hist, rdeg_acc, per_r, total)
+    return PathStats(n, rdeg_hist, rdeg_acc, _PerR(per_r, r_max, total.count), total)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ path series and the bivariate fringe series.  Each univariate family solves
 one functional equation f_{r+1} = a + b * f_r(sigma) with sigma(z) =
 z^2/(1-2z)^2, so one stage engine, ``_stages``, computes them all from a
 table of (seed, a, b) entries; every public function reads its result off
-the stages of one pass.  No floating point is used in this module; a
-division that does not come out integral raises ExactnessError instead of
-silently rounding.
+the stages of one pass.  The bivariate fringe series solves H_{r+1} =
+4 H_r(sigma, v); since substituting in z is linear in v, it is stored as
+one TruncatedSeries per v-degree, so it runs on the same composition and
+product as every other family.  No floating point is used in this module;
+a division that does not come out integral raises ExactnessError instead
+of silently rounding.
 """
 
 import math
@@ -146,10 +149,6 @@ class TruncatedSeries:
             out = TruncatedSeries((out.c[0] + self.c[k],) + out.c[1:])
         return out
 
-    def shift_mul_z(self):
-        """Multiply by z (truncated)."""
-        return TruncatedSeries((0,) + self.c[:-1])
-
 
 def _one(order):
     return TruncatedSeries.from_terms(order, {0: 1})
@@ -217,7 +216,13 @@ _RECURRENCES = {
 
 
 def _stages(family, r, order):
-    """The stages f_0..f_r of one family's sigma-recurrence, in order."""
+    """The stages f_0..f_r of one family's sigma-recurrence, in order.
+
+    The list ends at the first stage equal to the one before it, a fixed
+    point that every later stage equals, so [-1] is still f_r and [-1] -
+    [-2] still f_r - f_{r-1}.  Every family reaches one within
+    order.bit_length() + 2 stages, so a huge r costs no more than that.
+    """
     if r < 0:
         raise DomainError("r must be nonnegative")
     f, a, b = _RECURRENCES[family](order)
@@ -226,6 +231,8 @@ def _stages(family, r, order):
     for _ in range(r):
         f = a + b * f.compose(sig)
         stages.append(f)
+        if f == stages[-2]:
+            break
     return stages
 
 
@@ -288,100 +295,69 @@ def fringe_moment_series(r, order, moment="first"):
     paths of length n.  moment="second_factorial_combined": sum of
     X(X-1) + X, i.e. the sum of X^2.
     """
+    if moment not in ("first", "second_factorial_combined"):
+        raise DomainError(f"unknown moment {moment!r}")
     s = sigma_iterate(r, order)
+    if s.valuation() > order:
+        return s  # sigma_r = O(z^(2^r)): no path this short reduces r times
     one = _one(order)
     denom = one - 4 * s
     if moment == "first":
         return (4 ** (r + 1)) * s / (denom * denom)
-    if moment == "second_factorial_combined":
-        return (4 ** (r + 1)) * (s * (one + 4 * s)) / (denom * denom * denom)
-    raise DomainError(f"unknown moment {moment!r}")
+    return (4 ** (r + 1)) * (s * (one + 4 * s)) / (denom * denom * denom)
 
 
 class BivariateSeries:
     """Series in z whose coefficients are integer polynomials in v.
 
-    Coefficient storage: rows[n] is a dict {v-degree: int}.
+    Coefficient storage: cols[m] is the TruncatedSeries [v^m], so every
+    operation in z runs column by column on the univariate engine.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("cols",)
 
-    def __init__(self, rows):
-        self.rows = [dict(row) for row in rows]
-
-    @property
-    def order(self):
-        return len(self.rows) - 1
+    def __init__(self, cols):
+        self.cols = tuple(cols)
 
     def row(self, n):
-        return dict(self.rows[n])
+        """[z^n] as {v-degree: coefficient}, nonzero coefficients only."""
+        return {m: c[n] for m, c in enumerate(self.cols) if c[n]}
 
     def __eq__(self, other):
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        norm = lambda rows: [
-            {k: v for k, v in r.items() if v} for r in rows
-        ]
-        return norm(self.rows) == norm(other.rows)
+        return self.cols == other.cols
 
     def scale(self, factor):
-        return BivariateSeries(
-            [{m: factor * a for m, a in row.items()} for row in self.rows]
-        )
-
-    def add_row(self, n, m, value):
-        self.rows[n][m] = self.rows[n].get(m, 0) + value
-
-    def mul_univariate(self, g):
-        """Multiply by a TruncatedSeries in z (same order)."""
-        if g.order != self.order:
-            raise DomainError("series orders differ")
-        out = BivariateSeries([{} for _ in self.rows])
-        for i, row in enumerate(self.rows):
-            if not row:
-                continue
-            for j in range(len(self.rows) - i):
-                gj = g[j]
-                if not gj:
-                    continue
-                for m, a in row.items():
-                    out.add_row(i + j, m, a * gj)
-        return out
+        return BivariateSeries(factor * c for c in self.cols)
 
     def compose_z(self, inner):
         """Substitute z -> inner(z); v is untouched."""
-        if inner.valuation() == 0:
-            raise DomainError("composition needs a series without constant term")
-        n = len(self.rows)
-        out = BivariateSeries([dict(self.rows[-1])] + [{} for _ in range(n - 1)])
-        for k in range(n - 2, -1, -1):
-            out = out.mul_univariate(inner)
-            for m, a in self.rows[k].items():
-                out.add_row(0, m, a)
-        return out
+        return BivariateSeries(c.compose(inner) for c in self.cols)
 
     def eval_moment(self, which="first"):
         """Collapse v: first moment sum m*c, or sum m^2*c ("second_raw")."""
-        if which == "first":
-            weight = lambda m: m
-        elif which == "second_raw":
-            weight = lambda m: m * m
-        else:
+        power = {"first": 1, "second_raw": 2}.get(which)
+        if power is None:
             raise DomainError(f"unknown moment {which!r}")
-        return TruncatedSeries(
-            [sum(weight(m) * a for m, a in row.items()) for row in self.rows]
-        )
+        terms = (m**power * c for m, c in enumerate(self.cols))
+        return sum(terms, _zero(self.cols[0].order))
 
 
 def h_r_bivariate(r, order):
-    """Bivariate fringe series: v marks the r-th fringe size, z the length."""
+    """Bivariate fringe series: v marks the r-th fringe size, z the length.
+
+    H_0 = sum_{m >= 1} (4zv)^m and H_{k+1} = 4 H_k(sigma(z), v).
+    """
     if r < 0:
         raise DomainError("r must be nonnegative")
-    rows = [{} for _ in range(order + 1)]
-    for n in range(1, order + 1):
-        rows[n][n] = 4**n
-    h = BivariateSeries(rows)
+    h = BivariateSeries(
+        [_zero(order)]
+        + [TruncatedSeries.from_terms(order, {m: 4**m}) for m in range(1, order + 1)]
+    )
     sig = sigma_series(order)
     for _ in range(r):
-        h = h.compose_z(sig).scale(4)
+        h, last = h.compose_z(sig).scale(4), h
+        if h == last:  # a fixed point, as in _stages
+            break
     return h

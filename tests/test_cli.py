@@ -242,6 +242,24 @@ class TestTable:
         for method in ("exact", "series"):
             assert run(capsys, "table", *argv, "--method", method) == want[method]
 
+    @pytest.mark.parametrize("quantity", ["r-branches-mean", "fringe-mean"])
+    @pytest.mark.parametrize(
+        "method", [("--check",), ("--method", "series"), ("--method", "oracle")]
+    )
+    def test_huge_r_costs_no_more_than_a_small_one(self, capsys, quantity, method):
+        # no size-5 object has an r-branch or r-th fringe for r >= 3
+        argv = ["table", quantity, "--n", "5", "--r", "3", *method]
+        assert run(capsys, *argv)[:2] == (0, "0\n")
+        argv[5] = str(10**5)
+        tracemalloc.start()
+        try:
+            result = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result[:2] == (0, "0\n")
+        assert peak < 1 << 20
+
     def test_oracle_respects_cap(self, capsys):
         code, _, err = run(
             capsys, "table", "rdeg-mean",

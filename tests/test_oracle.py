@@ -202,6 +202,16 @@ class TestTreeScan:
         for n in range(12):
             assert tree_stats(n, r_max=r_max) == reference_tree_stats(n, r_max)
 
+    def test_huge_r_max_stores_only_attainable_r(self):
+        r_max = 10**5
+        st = tree_stats(5, r_max=r_max)
+        assert len(st.per_r) == r_max + 1 and len(st.per_r.stored) == 3
+        assert list(st.per_r.stored) == list(tree_stats(5).per_r)
+        for r in (3, r_max, -1):
+            assert st.per_r[r] == oracle.StatAccumulator(42, 0, 0, 0, 0)
+        with pytest.raises(IndexError):
+            st.per_r[r_max + 1]
+
     def test_size_zero(self):
         st = tree_stats(0)
         assert st == reference_tree_stats(0)
@@ -332,6 +342,14 @@ class TestPathScan:
             st = path_stats(n, r_max=r_max)
             assert st == reference_path_stats(n, r_max)
             assert list(st.rdeg_hist) == sorted(st.rdeg_hist)
+
+    def test_huge_r_max_stores_only_attainable_r(self):
+        r_max = 10**5
+        st = path_stats(5, r_max=r_max)
+        assert len(st.per_r) == r_max + 1 and len(st.per_r.stored) == 3
+        assert list(st.per_r.stored) == list(path_stats(5).per_r)
+        for r in (3, r_max, -1):
+            assert st.per_r[r] == oracle.StatAccumulator(4**5, 0, 0, 0, 0)
 
     def test_cap_checked_before_allocation(self):
         tracemalloc.start()

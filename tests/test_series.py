@@ -1,6 +1,11 @@
+import itertools
+import tracemalloc
+from collections import Counter
+
 import pytest
 
 from redcalc.errors import DomainError, ExactnessError
+from redcalc.paths import STEPS, fringe_sizes
 from redcalc.series import (
     BivariateSeries,
     TruncatedSeries,
@@ -226,7 +231,10 @@ class TestDomain:
 
 class TestBivariate:
     def test_scale_and_moment(self):
-        h = BivariateSeries([{}, {1: 2, 2: 1}])
+        # [z^1] = 2v + v^2
+        h = BivariateSeries(
+            [TruncatedSeries([0, 0]), TruncatedSeries([0, 2]), TruncatedSeries([0, 1])]
+        )
         assert h.scale(3).row(1) == {1: 6, 2: 3}
         assert h.eval_moment("first").c == (0, 4)
         assert h.eval_moment("second_raw").c == (0, 6)
@@ -234,3 +242,65 @@ class TestBivariate:
     def test_unknown_moment(self):
         with pytest.raises(DomainError):
             h_r_bivariate(1, 3).eval_moment("third")
+
+    @pytest.mark.parametrize("r", range(4))
+    def test_rows_are_fringe_size_histograms(self, r):
+        # [z^n v^m] H_r counts the length-n paths whose r-th fringe has size
+        # m >= 1; a path that cannot be reduced r times (size 0) is not in H
+        h = h_r_bivariate(r, 7)
+        for n in range(1, 8):
+            hist = Counter()
+            for steps in itertools.product(STEPS, repeat=n):
+                sizes = fringe_sizes("".join(steps))
+                if r < len(sizes):
+                    hist[sizes[r]] += 1
+            assert h.row(n) == dict(hist), (r, n)
+        assert h.row(0) == {}
+
+    @pytest.mark.parametrize("order", [0, 1, 9, 24, 40])
+    @pytest.mark.parametrize("r", range(5))
+    def test_columns_are_powers_of_sigma(self, r, order):
+        # [v^m] H_r = 4^(r+m) sigma_r^m, since H_0 = sum (4zv)^m
+        h = h_r_bivariate(r, order)
+        rows = [h.row(n) for n in range(order + 1)]
+        sig = power = sigma_iterate(r, order)
+        for m in range(1, order + 1):
+            column = [row.get(m, 0) for row in rows]
+            assert column == list((4 ** (r + m) * power).c), (r, order, m)
+            power = power * sig
+        assert all(0 not in row for row in rows)
+
+
+class TestHugeR:
+    """Every recurrence reaches a fixed point after about log2(order)
+    stages, so r = 10^5 costs what r = order.bit_length() + 2 does."""
+
+    R = 10**5
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "family",
+        [b_r_series, b_r_equal_series, f1_series, f2_series,
+         l_r_series, l_r_equal_series, sigma_iterate, fringe_moment_series],
+    )
+    def test_univariate(self, family):
+        order = 9
+        small = family(order.bit_length() + 2, order)
+        huge, peak = self._peak(lambda: family(self.R, order))
+        assert huge == small
+        assert peak < 256 * 1024
+
+    def test_bivariate(self):
+        order = 9
+        small = h_r_bivariate(order.bit_length() + 2, order)
+        huge, peak = self._peak(lambda: h_r_bivariate(self.R, order))
+        assert huge == small
+        assert all(not h for h in (huge.row(n) for n in range(order + 1)))
+        assert peak < 256 * 1024
