@@ -146,11 +146,18 @@ AsymptoticValue = namedtuple(
 )
 
 
+def _four_to(r):
+    """4.0**r, whose float range ends below r = 512."""
+    if r >= 512:
+        raise DomainError(f"the asymptotic expansions need r < 512, got r = {r}")
+    return 4.0**r
+
+
 def asy_r_branch_mean(n, r):
     """Expected number of r-branches, all printed terms through 1/n^2."""
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
-    q = 4.0**r
+    q = _four_to(r)
     value = (
         n / q
         + (1 + 5 / q) / 6
@@ -164,7 +171,7 @@ def asy_r_branch_var(n, r):
     """Variance of the number of r-branches, through 1/n."""
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
-    q = 4.0**r
+    q = _four_to(r)
     q2 = q * q
     value = (
         (q - 1) / (3 * q2) * n
@@ -178,15 +185,15 @@ def _log4(n):
     return math.log(n) / math.log(4.0)
 
 
-@lru_cache(maxsize=None)
 def _zeta_prime_at_minus_one():
     """zeta'(-1), which enters the constant term of the total branch count.
 
-    Computed on first use, once per process.  It stays the value zeta_c
-    gives rather than a literal: the correctly rounded constant is one ulp
-    away, and the expansions' output would change in the last digit.
+    A literal with the bits zeta_c(-1, 1).real gives, which a test
+    recomputes, so no request pays for the 64 Cauchy-circle evaluations.
+    It is one ulp from the correctly rounded constant, which would change
+    the expansions' output in the last digit.
     """
-    return zeta_c(-1, 1).real
+    return float.fromhex("-0x1.52c8521215340p-3")
 
 
 def asy_total_branches_smooth(n):
@@ -254,7 +261,7 @@ def asy_fringe(n, r, which="mean"):
     """
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
-    q = 4.0**r
+    q = _four_to(r)
     if which == "mean":
         value = n / q + (1.0 - 1.0 / q) / 3.0
     elif which == "variance":

@@ -2,7 +2,8 @@
 
 Subcommands: tree / path (single-object reductions), table (exact and
 asymptotic quantities, optionally cross-checked between backends), figure
-(fluctuation CSV data), verify (the full invariant suite).
+(fluctuation CSV data), verify (the full invariant suite, which lives in
+the verify module).
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 domain error
 (including an --out file that cannot be written), 4 cross-backend mismatch,
@@ -12,12 +13,17 @@ Every command runs in a fresh interpreter, so each request imports only
 the modules it uses beyond asym, which all of them load: tree loads trees,
 path loads paths, figure loads exact, table loads the backend its --method
 names (series for series-coefficients, exact for rdeg-dist, none for the
-asymptotic method), table --check every applicable backend, and verify all
-of them.  Only the requests that enumerate or sample (table --method
-oracle, table --check, verify) import the oracle and with it numpy.
+asymptotic method), table --check every applicable backend, and verify
+the verify module and with it all of them.  Only the requests that
+enumerate or sample (table --method oracle, table --check, verify) import
+the oracle and with it numpy.
+
+The argument parser is built once per process and reused by every later
+call of main in it.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -403,226 +409,41 @@ def cmd_figure(args):
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_identities(order):
-    from . import exact, series
-
-    cat = series.base_series("catalan_B", order)
-    sig = series.sigma_series(order)
-    chain = series.base_series("chain_C", order)
-    one = series.TruncatedSeries.from_terms(order, {0: 1})
-    # tree functional equation: B = 1 + C * B(sigma)
-    if cat != one + chain * cat.compose(sig):
-        return "tree functional equation fails"
-    # path functional equation: L = 4 L(sigma) + 4z
-    lat = series.base_series("L_all", order)
-    four_z = series.TruncatedSeries.from_terms(order, {1: 4})
-    if lat != 4 * lat.compose(sig) + four_z:
-        return "path functional equation fails"
-    # Touchard's identity, n <= 30
-    for n in range(31):
-        acc = sum(
-            series.catalan(k) * 2 ** (n - 2 * k) * math.comb(n, 2 * k)
-            for k in range(n // 2 + 1)
-        )
-        if acc != series.catalan(n + 1):
-            return f"Touchard's identity fails at n={n}"
-    # reduction degrees partition all paths
-    for n in range(1, order + 1):
-        total = sum(
-            exact.count_paths_rdeg(n, r) for r in range(n.bit_length())
-        )
-        if total != 4**n:
-            return f"rdeg counts do not sum to 4^{n}"
-    return None
-
-
-def _oracle_stats(tree_max, path_max, threads):
-    """Exhaustive statistics of every tree size 0..tree_max and every path
-    length 1..path_max, each scanned once and shared by the verify groups.
-    The scans run on one thread; threads changes neither output nor work."""
-    oracle = _oracle()
-    trees = {n: oracle.tree_stats(n) for n in range(tree_max + 1)}
-    paths = {n: oracle.path_stats(n) for n in range(1, path_max + 1)}
-    return trees, paths
-
-
-def _verify_three_way(trees, paths):
-    from . import exact, series
-
-    for n, st in trees.items():
-        order = max(n, 1)
-        for r, acc in enumerate(st.per_r):
-            if acc.total != series.f1_series(r, order)[n]:
-                return f"tree first moment mismatch at n={n}, r={r}"
-            if acc.factorial_moment_sum() != series.f2_series(r, order)[n]:
-                return f"tree second moment mismatch at n={n}, r={r}"
-            if acc.mean() != exact.expected_r_branches(n, r):
-                return f"tree closed form mismatch at n={n}, r={r}"
-        if st.total.total != series.branch_total_series(order)[n]:
-            return f"branch total series mismatch at n={n}"
-        if st.total.mean() != exact.expected_total_branches(n):
-            return f"branch total closed form mismatch at n={n}"
-        for r, count in st.register_hist.items():
-            if series.b_r_equal_series(r, order)[n] != count:
-                return f"register histogram mismatch at n={n}, r={r}"
-    for n, st in paths.items():
-        order = max(n, 1)
-        for r, count in st.rdeg_hist.items():
-            if exact.count_paths_rdeg(n, r) != count:
-                return f"rdeg count mismatch at n={n}, r={r}"
-            if series.l_r_equal_series(r, order)[n] != count:
-                return f"rdeg series mismatch at n={n}, r={r}"
-        if st.rdeg.mean() != exact.expected_rdeg(n):
-            return f"rdeg mean mismatch at n={n}"
-        for r, acc in enumerate(st.per_r):
-            if acc.total != series.fringe_moment_series(r, order)[n]:
-                return f"fringe moment series mismatch at n={n}, r={r}"
-            if acc.mean() != exact.expected_fringe(n, r):
-                return f"fringe closed form mismatch at n={n}, r={r}"
-            hrow = series.h_r_bivariate(r, order).eval_moment("first")[n]
-            if acc.total != hrow:
-                return f"bivariate fringe series mismatch at n={n}, r={r}"
-        if st.total.mean() != exact.expected_total_fringe(n):
-            return f"total fringe closed form mismatch at n={n}"
-    return None
-
-
-def _verify_bounds(trees, paths, extremal_max):
-    from .trees import almost_complete, format_tree, reduce_tree
-
-    for n, st in trees.items():
-        for r, acc in enumerate(st.per_r):
-            if r == 0:
-                if not (acc.min == acc.max == n + 1):
-                    return f"0-branch count differs from n+1 at n={n}"
-                continue
-            lo = 1 if (n > 0 and r == 1) else 0
-            hi = (n + 1) >> r
-            if acc.count and not (acc.min == lo and (acc.max or 0) == hi):
-                return f"r-branch bounds not sharp at n={n}, r={r}"
-        w2 = bin(n + 1).count("1")
-        if st.total.min != n + 1 + (1 if n > 0 else 0):
-            return f"total branch lower bound not sharp at n={n}"
-        if st.total.max != 2 * n + 2 - w2:
-            return f"total branch upper bound not sharp at n={n}"
-    for n, st in paths.items():
-        if st.rdeg.min != (1 if n > 1 else 0):
-            return f"rdeg lower bound not sharp at n={n}"
-        if st.rdeg.max != n.bit_length() - 1:
-            return f"rdeg upper bound not sharp at n={n}"
-        for r, acc in enumerate(st.per_r):
-            if r == 0:
-                if not (acc.min == acc.max == n):
-                    return f"0th fringe differs from n at n={n}"
-                continue
-            lo = 1 if (n > 1 and r == 1) else 0
-            hi = n >> r
-            if not (acc.min == lo and acc.max == hi):
-                return f"fringe bounds not sharp at n={n}, r={r}"
-        w2 = bin(n).count("1")
-        if st.total.min != n + (1 if n > 1 else 0):
-            return f"total fringe lower bound not sharp at n={n}"
-        if st.total.max != 2 * n - w2:
-            return f"total fringe upper bound not sharp at n={n}"
-    for m in range(2, 130):
-        got = reduce_tree(almost_complete(m))
-        want = almost_complete(m // 2)
-        if format_tree(got) != format_tree(want):
-            return f"almost-complete reduction fails at m={m}"
-    n = _oracle().extremal_failure(extremal_max)
-    if n is not None:
-        return f"extremal path fails at n={n}"
-    return None
-
-
-def _verify_residuals():
-    from . import exact
-
-    for r in (1, 2, 3):
-        diff = abs(
-            asym.asy_r_branch_mean(100, r).value
-            - float(exact.expected_r_branches(100, r))
-        )
-        if diff > 1e-3:
-            return f"r-branch mean residual {diff} at n=100, r={r}"
-    for n in (256, 1024, 4096):
-        checks = (
-            (asym.asy_total_branches_mean(n).value, exact.expected_total_branches(n)),
-            (asym.asy_rdeg(n, which="mean").value, exact.expected_rdeg(n)),
-            (asym.asy_total_fringe_mean(n).value, exact.expected_total_fringe(n)),
-        )
-        for got, want in checks:
-            if abs(got - float(want)) > 0.01:
-                return f"asymptotic residual {abs(got - float(want))} at n={n}"
-    for n in range(2, 65):
-        got = asym.asy_count_rdeg(n, 1)
-        want = exact.count_paths_rdeg(n, 1)
-        if abs(got - want) > 1e-9 * want:
-            return f"rdeg count expansion not exact at n={n}, r=1"
-    return None
-
-
-def _verify_clt(seed, samples, n):
-    oracle = _oracle()
-    gen = oracle.SeededGenerator(seed)
-    for kind, r in (("tree", 1), ("path", 2)):
-        ks = oracle.clt_check(n, r, samples, gen.split(f"clt:{kind}"), kind=kind)
-        if ks > 0.02:
-            # documented one-retry policy: a stochastic threshold gets a
-            # second fixed seed before the group is declared failed
-            retry = oracle.clt_check(
-                n, r, samples, gen.split(f"clt-retry:{kind}"), kind=kind
-            )
-            if retry > 0.02:
-                return f"{kind} KS distance {ks} then {retry} at n={n}, r={r}"
-    return None
-
-
 def cmd_verify(args):
-    if args.full:
-        scale = dict(
-            order=64, tree_max=12, path_max=10, extremal_max=4096,
-            clt_samples=100000, clt_n=1000,
-        )
-    else:
-        scale = dict(
-            order=32, tree_max=8, path_max=7, extremal_max=512,
-            clt_samples=20000, clt_n=200,
-        )
-    trees, paths = _oracle_stats(
-        scale["tree_max"], scale["path_max"], args.threads
-    )
-    groups = [
-        ("identities", lambda: _verify_identities(scale["order"])),
-        ("three-way-cross-validation", lambda: _verify_three_way(trees, paths)),
-        (
-            "bounds-and-sharpness",
-            lambda: _verify_bounds(trees, paths, scale["extremal_max"]),
-        ),
-        ("asymptotic-residuals", _verify_residuals),
-        (
-            "clt-sampling",
-            lambda: _verify_clt(args.seed, scale["clt_samples"], scale["clt_n"]),
-        ),
-    ]
-    lines = []
-    failed = False
-    for name, run in groups:
-        problem = run()
-        if problem is None:
-            lines.append(f"{name}: PASS")
-        else:
-            lines.append(f"{name}: FAIL ({problem})")
-            failed = True
-    lines.append(f"result: {'FAIL' if failed else 'PASS'}")
-    _emit(args, "\n".join(lines) + "\n")
+    from . import verify
+
+    report, failed = verify.run(args.full, args.seed, args.threads)
+    _emit(args, report)
     return 1 if failed else 0
+
+
+# the verify suite's parts, which the acceptance tests call through cli
+_VERIFY_NAMES = (
+    "_verify_identities",
+    "_oracle_stats",
+    "_verify_three_way",
+    "_verify_bounds",
+    "_verify_residuals",
+    "_verify_clt",
+)
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: it holds only constants
+    and the cmd_* functions, and every parse_args call starts a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="redcalc",
         description="Exact and asymptotic statistics of tree and path reductions",

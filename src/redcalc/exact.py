@@ -68,6 +68,8 @@ def expected_r_branches(n, r):
         raise DomainError("n and r must be nonnegative")
     if r == 0:
         return n + 1
+    if r >= (n + 1).bit_length():
+        return Fraction(0)  # no k = 2^r, 2 2^r, ... <= n + 1
     acc = sum((k >> r) * delta for k, delta in _tree_terms(n, 1 << r))
     return Fraction((n + 1) * acc, math.comb(2 * n, n))
 
@@ -89,6 +91,8 @@ def count_paths_rdeg(n, r):
     if r == 0:
         # the four atomic steps reduce in zero steps only for n = 1
         return 4 if n == 1 else 0
+    if r >= n.bit_length():
+        return 0  # no k = 2^r, 2 2^r, ... <= n
     acc = 0
     for k, delta in _path_terms(n, 1 << r):
         lam = k >> r
@@ -113,6 +117,8 @@ def expected_fringe(n, r):
     """Mean size of the r-th fringe of a uniform length-n path."""
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
+    if r >= n.bit_length():
+        return Fraction(0)  # no k = 2^r, 2 2^r, ... <= n
     acc = Fraction(0)
     for k, delta in _path_terms(n, 1 << r):
         lam = k >> r

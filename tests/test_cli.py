@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +160,18 @@ class TestTable:
         code, out, err = run(capsys, "table", *argv)
         assert (code, out) == (3, "")
         assert err == f"redcalc: table {argv[0]} needs {flag}\n"
+
+    @pytest.mark.parametrize("quantity", ["r-branches-mean", "fringe-mean"])
+    @pytest.mark.parametrize("r", ["600", "100000"])
+    def test_asymptotic_r_beyond_float_range_is_domain_error(
+        self, capsys, quantity, r
+    ):
+        argv = ["table", quantity, "--n", "5", "--method", "asymptotic", "--r", r]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"redcalc: the asymptotic expansions need r < 512, got r = {r}\n"
+        )
 
     def test_bad_threads_env_is_domain_error(self, capsys, monkeypatch):
         monkeypatch.setenv("REDCALC_THREADS", "abc")
@@ -448,15 +462,21 @@ class TestVerify:
 
 
 # runs cli.main on its arguments in a fresh interpreter and prints the exit
-# code, the output and every module loaded from the import of cli on
+# code (argparse's included), stdout, stderr and every module loaded from
+# the import of cli on
 _FRESH_CHILD = """
 import contextlib, io, json, sys
 before = set(sys.modules)
 from redcalc import cli
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = cli.main(sys.argv[1:])
-print(json.dumps([code, out.getvalue(), sorted(set(sys.modules) - before)]))
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as e:
+        code = e.code
+print(json.dumps(
+    [code, out.getvalue(), err.getvalue(), sorted(set(sys.modules) - before)]
+))
 """
 
 # imports the package alone and prints the redcalc modules that loaded and
@@ -485,8 +505,9 @@ def _fresh(child, *argv):
 
 
 def run_fresh(*argv):
-    """(exit code, output, loaded) of a request in a fresh interpreter;
-    loaded lists the modules imported from the import of cli on."""
+    """(exit code, stdout, stderr, loaded) of a request in a fresh
+    interpreter; loaded lists the modules imported from the import of cli
+    on."""
     return _fresh(_FRESH_CHILD, *argv)
 
 
@@ -498,6 +519,7 @@ _OPTIONAL = (
     "redcalc.paths",
     "redcalc.series",
     "redcalc.trees",
+    "redcalc.verify",
 )
 
 _ASYMPTOTIC = (
@@ -525,13 +547,13 @@ def _optional(loaded):
 class TestColdStart:
     @pytest.mark.parametrize("argv", tuple(_COLD_REQUESTS))
     def test_no_enumeration_no_numpy(self, argv):
-        code, _, loaded = run_fresh(*argv)
+        code, _, _, loaded = run_fresh(*argv)
         assert code == 0
         assert _optional(loaded) == _COLD_REQUESTS[argv]
         assert "traceback" not in loaded
 
     def test_asymptotic_request_skips_dataclasses(self):
-        code, _, loaded = run_fresh(*_ASYMPTOTIC)
+        code, _, _, loaded = run_fresh(*_ASYMPTOTIC)
         assert code == 0
         assert "dataclasses" not in loaded and "inspect" not in loaded
 
@@ -552,7 +574,7 @@ class TestColdStart:
 
     def test_oracle_method(self, capsys):
         argv = ("table", "rdeg-mean", "--n", "6")
-        code, out, loaded = run_fresh(*argv, "--method", "oracle")
+        code, out, _, loaded = run_fresh(*argv, "--method", "oracle")
         assert code == 0
         assert _optional(loaded) == [
             "numpy", "redcalc.oracle", "redcalc.paths", "redcalc.trees"
@@ -560,13 +582,110 @@ class TestColdStart:
         assert out == run(capsys, *argv, "--method", "exact")[1]
 
     def test_check(self):
-        code, out, loaded = run_fresh(
+        code, out, _, loaded = run_fresh(
             "table", "fringe-mean", "--n", "6", "--r", "1", "--check"
         )
         assert (code, out) == (0, "7/4 (1.75)\n")
-        assert _optional(loaded) == list(_OPTIONAL)
+        assert _optional(loaded) == [m for m in _OPTIONAL if m != "redcalc.verify"]
 
     def test_verify_quick(self):
-        code, out, loaded = run_fresh("verify", "--quick")
+        code, out, _, loaded = run_fresh("verify", "--quick")
         assert (code, out.count("PASS")) == (1, 4)
         assert _optional(loaded) == list(_OPTIONAL)
+
+    def test_verify_names_resolve_through_cli(self):
+        from redcalc import verify
+
+        for name in (
+            "_verify_identities",
+            "_oracle_stats",
+            "_verify_three_way",
+            "_verify_bounds",
+            "_verify_residuals",
+            "_verify_clt",
+        ):
+            assert getattr(cli, name) is getattr(verify, name)
+        with pytest.raises(AttributeError):
+            getattr(cli, "_verify_no_such_group")
+
+    def test_no_module_level_import_of_a_deferred_module(self):
+        imported = set()
+        for node in ast.parse(Path(cli.__file__).read_text()).body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                if node.module in (None, "redcalc"):  # from . import a, b
+                    modules = [alias.name for alias in node.names]
+                else:
+                    modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                parts = module.split(".")
+                if parts[0] == "redcalc" and len(parts) > 1:
+                    parts = parts[1:]
+                imported.add(parts[0])
+        assert {"argparse", "asym", "errors"} <= imported
+        assert not imported & {"verify", "exact", "series", "oracle", "numpy"}
+
+
+# one mixed sequence of requests: options that differ from call to call,
+# argparse errors, help and the verify suite; OUT stands for an --out file
+_SEQUENCE = (
+    ("table", "fringe-mean", "--n", "6", "--r", "1", "--check", "--threads", "2"),
+    ("table", "fringe-mean", "--n", "6", "--r", "1", "--format", "csv",
+     "--threads", "1"),
+    ("table", "fringe-mean", "--n", "6", "--r", "1"),
+    ("table", "rdeg-mean", "--n", "5", "--out", "OUT"),
+    ("table", "rdeg-mean", "--n", "5"),
+    ("table", "--n", "3"),
+    ("table", "rdeg-mean", "--n", "x"),
+    ("verify", "--quick", "--full"),
+    ("table", "rdeg-mean", "--n", "0"),
+    ("--help",),
+    ("table", "--help"),
+    ("verify", "--quick", "--threads", "1"),
+    ("tree", "register", "((. .) (. .))"),
+    ("path", "fringes", "RRUDLL", "--threads", "2"),
+)
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_sequence_repeats_and_matches_fresh_interpreters(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # help wraps at COLUMNS, here and in the fresh interpreters
+        monkeypatch.setenv("COLUMNS", "80")
+        target = tmp_path / "out.txt"
+        requests = [
+            [str(target) if arg == "OUT" else arg for arg in argv]
+            for argv in _SEQUENCE
+        ]
+
+        def written():
+            """The --out file's text, removed for the next request."""
+            if not target.exists():
+                return None
+            text = target.read_text()
+            target.unlink()
+            return text
+
+        def in_process(argv):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            out = capsys.readouterr()
+            return code, out.out, out.err, written()
+
+        first = [in_process(argv) for argv in requests]
+        second = [in_process(argv) for argv in requests]
+        fresh = [(*run_fresh(*argv)[:3], written()) for argv in requests]
+        assert first == second
+        assert first == fresh
+        assert [result[0] for result in first] == [
+            0, 0, 0, 0, 0, 2, 2, 2, 3, 0, 0, 1, 0, 0
+        ]

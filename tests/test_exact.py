@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,28 @@ class TestAgainstReferenceLoops:
     def test_total_fringe(self):
         for n in _REFERENCE_N[1:]:
             assert exact.expected_total_fringe(n) == reference_total_fringe(n)
+
+
+@pytest.mark.parametrize(
+    "quantity, zero",
+    [
+        (exact.expected_r_branches, Fraction(0)),
+        (exact.expected_fringe, Fraction(0)),
+        (exact.count_paths_rdeg, 0),
+    ],
+)
+def test_huge_r_costs_no_more_than_a_small_one(quantity, zero):
+    # no size-5 tree or path has an r-branch, an r-th fringe or reduction
+    # degree r for r >= 3; 1 << r alone takes 1.2 MiB at r = 10^7
+    assert quantity(5, 3) == zero
+    tracemalloc.start()
+    try:
+        got = quantity(5, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got, type(got)) == (zero, type(zero))
+    assert peak < 4096
 
 
 class TestDomains:
