@@ -153,8 +153,17 @@ def _four_to(r):
     return 4.0**r
 
 
+def _finite(value, r):
+    """value, or a DomainError where it is not finite: the expansions in
+    r form q^2 or q^3 with q = 4.0**r, which overflow below r = 512."""
+    if not math.isfinite(value):
+        raise DomainError(f"the asymptotic expansion overflows a float at r = {r}")
+    return value
+
+
 def asy_r_branch_mean(n, r):
-    """Expected number of r-branches, all printed terms through 1/n^2."""
+    """Expected number of r-branches, all printed terms through 1/n^2.
+    Not finite, so a DomainError, from r = 256 on."""
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
     q = _four_to(r)
@@ -164,11 +173,12 @@ def asy_r_branch_mean(n, r):
         + (q - 1 / q) / (20 * n)
         + (5 * q * q / 21 - 7 * q / 10 + 97 / (210 * q)) / (12 * n * n)
     )
-    return AsymptoticValue(value, "O(n^-3)", n, r=r)
+    return AsymptoticValue(_finite(value, r), "O(n^-3)", n, r=r)
 
 
 def asy_r_branch_var(n, r):
-    """Variance of the number of r-branches, through 1/n."""
+    """Variance of the number of r-branches, through 1/n.  Not finite, so
+    a DomainError, from r = 171 on."""
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
     q = _four_to(r)
@@ -178,7 +188,7 @@ def asy_r_branch_var(n, r):
         - (2 * q2 - 25 * q + 23) / (90 * q2)
         - (13 * q2 * q - 14 * q2 + 7 * q - 6) / (420 * q2 * n)
     )
-    return AsymptoticValue(value, "O(n^-2)", n, r=r)
+    return AsymptoticValue(_finite(value, r), "O(n^-2)", n, r=r)
 
 
 def _log4(n):
@@ -257,7 +267,8 @@ def asy_fringe(n, r, which="mean"):
 
     The error term is exponentially small, O(n^5 theta_r^-n) with
     theta_r = 4/(2 + 2cos(2 pi/2^r)) > 1 for r >= 2; for r <= 1 the printed
-    terms are exact and the error term is absent.
+    terms are exact and the error term is absent.  A value that overflows
+    a float, r >= 256 for the variance, is a DomainError.
     """
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
@@ -271,14 +282,18 @@ def asy_fringe(n, r, which="mean"):
     else:
         raise DomainError(f"unknown moment {which!r}")
     tag = "O(n^5 theta_r^-n)" if r >= 2 else "exact"
-    return AsymptoticValue(value, tag, n, r=r)
+    return AsymptoticValue(_finite(value, r), tag, n, r=r)
 
 
 def theta_r(r):
-    """Inverse decay rate of the fringe-moment error terms, for r >= 2."""
+    """Inverse decay rate of the fringe-moment error terms, for r >= 2.
+
+    theta_r - 1 is about pi^2/4^r, which is below the spacing of doubles
+    at 1 from r = 29 on, so the float is 1.0 there.
+    """
     if r < 2:
         raise DomainError("the error term is absent for r < 2")
-    return 4.0 / (2.0 + 2.0 * math.cos(2.0 * math.pi / 2.0**r))
+    return 4.0 / (2.0 + 2.0 * math.cos(math.ldexp(2.0 * math.pi, -r)))
 
 
 def asy_total_fringe_smooth(n):

@@ -9,6 +9,11 @@ Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 domain error
 (including an --out file that cannot be written), 4 cross-backend mismatch,
 5 resource cap, 6 internal error (a bug; the traceback goes to stderr).
 
+Every command takes --out and --threads, and table also --format.
+--threads must be at least 1 for callers that send it, but it changes
+nothing: the scans run on one thread.  The verify suite's groups are
+reached through redcalc.verify, not through this module.
+
 Every command runs in a fresh interpreter, so each request imports only
 the modules it uses beyond asym, which all of them load: tree loads trees,
 path loads paths, figure loads exact, table loads the backend its --method
@@ -25,7 +30,6 @@ call of main in it.
 import argparse
 import functools
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -44,27 +48,6 @@ from .errors import (
 FIGURE_N_CAP = 4096
 
 EXIT_INTERNAL_ERROR = 6
-
-
-def _threads(args):
-    """Thread count from --threads or REDCALC_THREADS, at least 1.  The
-    enumeration scans run on one thread whatever the value; it changes no
-    output."""
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
-    else:
-        env = os.environ.get("REDCALC_THREADS")
-        if env is None:
-            return os.cpu_count() or 1
-        try:
-            threads, source = int(env), "REDCALC_THREADS"
-        except ValueError:
-            raise DomainError(
-                f"REDCALC_THREADS must be an integer, got {env!r}"
-            ) from None
-    if threads < 1:
-        raise DomainError(f"{source} must be at least 1, got {threads}")
-    return threads
 
 
 # The backends are imported on first use, so that a request loads only
@@ -412,28 +395,9 @@ def cmd_figure(args):
 def cmd_verify(args):
     from . import verify
 
-    report, failed = verify.run(args.full, args.seed, args.threads)
+    report, failed = verify.run(args.full, args.seed)
     _emit(args, report)
     return 1 if failed else 0
-
-
-# the verify suite's parts, which the acceptance tests call through cli
-_VERIFY_NAMES = (
-    "_verify_identities",
-    "_oracle_stats",
-    "_verify_three_way",
-    "_verify_bounds",
-    "_verify_residuals",
-    "_verify_clt",
-)
-
-
-def __getattr__(name):
-    if name in _VERIFY_NAMES:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +414,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=False):
+        """--out and --threads, and with formats --format between them:
+        only table reads it."""
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=("human", "csv"), default="human")
-        p.add_argument("--threads", type=int, default=None)
+        if formats:
+            p.add_argument("--format", choices=("human", "csv"), default="human")
+        # accepted and checked for callers that send it; no command reads it
+        p.add_argument("--threads", type=int)
 
     p = sub.add_parser("tree", help="reduce or analyze one binary tree")
     p.add_argument("action", choices=("reduce", "register", "branches"))
@@ -497,7 +465,7 @@ def build_parser():
     p.add_argument("--check", action="store_true")
     p.add_argument("--cap-trees", type=int, default=TREE_CAP)
     p.add_argument("--cap-paths", type=int, default=PATH_CAP)
-    common(p)
+    common(p, formats=True)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("figure", help="export fluctuation figure data as CSV")
@@ -520,11 +488,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        # checked for every command, though only verify passes it on
-        args.threads = _threads(args)
+        if args.threads is not None and args.threads < 1:
+            raise DomainError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except RedcalcError as e:
         print(f"redcalc: {e}", file=sys.stderr)

@@ -5,8 +5,9 @@ enumeration against the series and the closed forms, sharp bounds and
 extremal objects, asymptotic residuals, and CLT sampling.  Each group
 returns None or a one-line description of its first failure.
 
-Only ``verify`` imports this module, so no other request compiles it; it
-loads every backend, the oracle and with it numpy.
+Of the CLI's requests only ``verify`` imports this module, so no other
+request compiles it; it loads every backend, the oracle and with it
+numpy.  The acceptance tests call the groups here directly.
 """
 
 import math
@@ -46,10 +47,9 @@ def _verify_identities(order):
     return None
 
 
-def _oracle_stats(tree_max, path_max, threads):
+def _oracle_stats(tree_max, path_max):
     """Exhaustive statistics of every tree size 0..tree_max and every path
-    length 1..path_max, each scanned once and shared by the verify groups.
-    The scans run on one thread; threads changes neither output nor work."""
+    length 1..path_max, each scanned once and shared by the verify groups."""
     trees = {n: oracle.tree_stats(n) for n in range(tree_max + 1)}
     paths = {n: oracle.path_stats(n) for n in range(1, path_max + 1)}
     return trees, paths
@@ -94,41 +94,33 @@ def _verify_three_way(trees, paths):
     return None
 
 
+def _sharp_bounds(kind, n, m, st):
+    """The first sharp bound that st misses, for the objects of size n with
+    m leaves (trees) or m steps (paths), measured in m: the 0-th statistic
+    is m, the r-th lies in [[m > 1 and r = 1], m >> r], and the total in
+    [m + [m > 1], 2m - popcount(m)]."""
+    for r, acc in enumerate(st.per_r):
+        lo, hi = (m, m) if r == 0 else (int(m > 1 and r == 1), m >> r)
+        if (acc.min, acc.max) != (lo, hi):
+            return f"{kind} bounds not sharp at n={n}, r={r}"
+    if (st.total.min, st.total.max) != (m + (m > 1), 2 * m - bin(m).count("1")):
+        return f"total {kind} bounds not sharp at n={n}"
+    return None
+
+
 def _verify_bounds(trees, paths, extremal_max):
     for n, st in trees.items():
-        for r, acc in enumerate(st.per_r):
-            if r == 0:
-                if not (acc.min == acc.max == n + 1):
-                    return f"0-branch count differs from n+1 at n={n}"
-                continue
-            lo = 1 if (n > 0 and r == 1) else 0
-            hi = (n + 1) >> r
-            if acc.count and not (acc.min == lo and (acc.max or 0) == hi):
-                return f"r-branch bounds not sharp at n={n}, r={r}"
-        w2 = bin(n + 1).count("1")
-        if st.total.min != n + 1 + (1 if n > 0 else 0):
-            return f"total branch lower bound not sharp at n={n}"
-        if st.total.max != 2 * n + 2 - w2:
-            return f"total branch upper bound not sharp at n={n}"
+        problem = _sharp_bounds("branch", n, n + 1, st)
+        if problem:
+            return problem
     for n, st in paths.items():
         if st.rdeg.min != (1 if n > 1 else 0):
             return f"rdeg lower bound not sharp at n={n}"
         if st.rdeg.max != n.bit_length() - 1:
             return f"rdeg upper bound not sharp at n={n}"
-        for r, acc in enumerate(st.per_r):
-            if r == 0:
-                if not (acc.min == acc.max == n):
-                    return f"0th fringe differs from n at n={n}"
-                continue
-            lo = 1 if (n > 1 and r == 1) else 0
-            hi = n >> r
-            if not (acc.min == lo and acc.max == hi):
-                return f"fringe bounds not sharp at n={n}, r={r}"
-        w2 = bin(n).count("1")
-        if st.total.min != n + (1 if n > 1 else 0):
-            return f"total fringe lower bound not sharp at n={n}"
-        if st.total.max != 2 * n - w2:
-            return f"total fringe upper bound not sharp at n={n}"
+        problem = _sharp_bounds("fringe", n, n, st)
+        if problem:
+            return problem
     for m in range(2, 130):
         got = reduce_tree(almost_complete(m))
         want = almost_complete(m // 2)
@@ -180,7 +172,7 @@ def _verify_clt(seed, samples, n):
     return None
 
 
-def run(full, seed, threads):
+def run(full, seed):
     """Run every group at the --quick or --full scale and return the report
     (one status line per group and a result line) and whether any failed."""
     if full:
@@ -193,7 +185,7 @@ def run(full, seed, threads):
             order=32, tree_max=8, path_max=7, extremal_max=512,
             clt_samples=20000, clt_n=200,
         )
-    trees, paths = _oracle_stats(scale["tree_max"], scale["path_max"], threads)
+    trees, paths = _oracle_stats(scale["tree_max"], scale["path_max"])
     groups = [
         ("identities", lambda: _verify_identities(scale["order"])),
         ("three-way-cross-validation", lambda: _verify_three_way(trees, paths)),

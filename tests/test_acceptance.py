@@ -9,15 +9,12 @@ really does decay like n^-3, it just has a large constant at r=3.
 """
 
 import math
-import os
 import time
 from fractions import Fraction
 
-from redcalc import asym, cli, exact, oracle, series
+from redcalc import asym, cli, exact, oracle, series, verify
 from redcalc.cli import figure_rows
 from redcalc.special import gamma_c, zeta_c
-
-THREADS = min(8, os.cpu_count() or 1)
 
 
 def _verdict(num, name, failures, elapsed, budget):
@@ -80,7 +77,7 @@ def test_criterion_1_golden_series():
 def test_criterion_2_identities():
     start = time.perf_counter()
     failures = []
-    problem = cli._verify_identities(64)
+    problem = verify._verify_identities(64)
     if problem:
         failures.append(problem)
     _verdict(2, "identities to order 64", failures, time.perf_counter() - start, 10)
@@ -89,7 +86,7 @@ def test_criterion_2_identities():
 def test_criterion_3_three_way_cross_validation():
     start = time.perf_counter()
     failures = []
-    problem = cli._verify_three_way(*cli._oracle_stats(12, 10, THREADS))
+    problem = verify._verify_three_way(*verify._oracle_stats(12, 10))
     if problem:
         failures.append(problem)
     _verdict(3, "three-way cross-validation", failures, time.perf_counter() - start, 300)
@@ -98,7 +95,7 @@ def test_criterion_3_three_way_cross_validation():
 def test_criterion_4_bounds_and_sharpness():
     start = time.perf_counter()
     failures = []
-    problem = cli._verify_bounds(*cli._oracle_stats(12, 10, THREADS), 4096)
+    problem = verify._verify_bounds(*verify._oracle_stats(12, 10), 4096)
     if problem:
         failures.append(problem)
     _verdict(4, "bounds, sharpness, extremal objects", failures, time.perf_counter() - start, 120)

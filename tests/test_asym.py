@@ -99,6 +99,25 @@ class TestRBranchExpansions:
                 expansion(5, r)
         assert math.isclose(asym.asy_fringe(5, 511).value, 1 / 3)
 
+    @pytest.mark.parametrize(
+        "expansion, last_finite",
+        [
+            (asym.asy_r_branch_mean, 255),
+            (asym.asy_r_branch_var, 170),
+            (lambda n, r: asym.asy_fringe(n, r, "variance"), 255),
+        ],
+        ids=["mean", "variance", "fringe-variance"],
+    )
+    def test_value_that_overflows_is_domain_error(self, expansion, last_finite):
+        for n in (1, 5, 10**6):
+            assert math.isfinite(expansion(n, last_finite).value)
+            for r in (last_finite + 1, 300, 511):
+                with pytest.raises(
+                    DomainError, match=f"overflows a float at r = {r}$"
+                ):
+                    expansion(n, r)
+            assert math.isfinite(asym.asy_fringe(n, 511, "mean").value)
+
     def test_mean_residual_n100(self):
         got = asym.asy_r_branch_mean(100, 1).value
         want = float(exact.expected_r_branches(100, 1))
@@ -217,6 +236,15 @@ class TestFringeExpansions:
         assert asym.theta_r(3) > 1
         with pytest.raises(DomainError):
             asym.theta_r(1)
+
+    def test_theta_r_is_one_from_r_29_and_never_overflows(self):
+        # the direct form 2 pi / 2^r is the reference wherever 2.0**r is finite
+        for r in range(2, 1024):
+            want = 4.0 / (2.0 + 2.0 * math.cos(2.0 * math.pi / 2.0**r))
+            assert asym.theta_r(r) == want
+        assert asym.theta_r(28) > 1.0
+        for r in (29, 1024, 10**6):
+            assert asym.theta_r(r) == 1.0
 
 
 class TestTotalFringe:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import redcalc
-from redcalc import cli, exact, oracle
+from redcalc import cli, exact, oracle, verify
 from redcalc.cli import main
 from redcalc.paths import STEPS
 
@@ -173,13 +173,29 @@ class TestTable:
             f"redcalc: the asymptotic expansions need r < 512, got r = {r}\n"
         )
 
-    def test_bad_threads_env_is_domain_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("REDCALC_THREADS", "abc")
-        code, out, err = run(
-            capsys, "table", "r-branches-mean", "--n", "4", "--r", "1"
-        )
-        assert (code, out) == (3, "")
-        assert err.startswith("redcalc: REDCALC_THREADS") and err.count("\n") == 1
+    @pytest.mark.parametrize(
+        "quantity, r, code",
+        [
+            ("r-branches-mean", "255", 0),
+            ("r-branches-mean", "256", 3),
+            ("r-branches-mean", "300", 3),
+            ("r-branches-mean", "511", 3),
+            ("fringe-mean", "511", 0),
+        ],
+    )
+    def test_asymptotic_value_that_overflows_is_domain_error(
+        self, capsys, quantity, r, code
+    ):
+        argv = ["table", quantity, "--n", "5", "--method", "asymptotic", "--r", r]
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (
+                f"redcalc: the asymptotic expansion overflows a float at r = {r}\n"
+            )
+        else:
+            assert err == "" and "inf" not in out and "nan" not in out
 
     @pytest.mark.parametrize(
         "command",
@@ -192,22 +208,42 @@ class TestTable:
         ),
         ids=lambda argv: argv[0],
     )
-    @pytest.mark.parametrize(
-        "flag, env",
-        [("0", None), ("-4", None), (None, "0"), (None, "-4"), ("0", "2")],
-    )
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-4", None), ("0", "2")])
     def test_threads_below_one_is_domain_error(
         self, capsys, monkeypatch, command, flag, env
     ):
         monkeypatch.delenv("REDCALC_THREADS", raising=False)
         if env is not None:
             monkeypatch.setenv("REDCALC_THREADS", env)
-        argv = command if flag is None else (*command, f"--threads={flag}")
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, *command, f"--threads={flag}")
         assert (code, out) == (3, "")
-        source = "--threads" if flag is not None else "REDCALC_THREADS"
-        value = flag if flag is not None else env
-        assert err == f"redcalc: {source} must be at least 1, got {value}\n"
+        assert err == f"redcalc: --threads must be at least 1, got {flag}\n"
+
+    def test_threads_env_is_ignored(self, capsys, monkeypatch):
+        argv = ("table", "r-branches-mean", "--n", "4", "--r", "1")
+        monkeypatch.delenv("REDCALC_THREADS", raising=False)
+        want = run(capsys, *argv)
+        monkeypatch.setenv("REDCALC_THREADS", "abc")
+        assert run(capsys, *argv) == want == (0, "10/7 (1.428571429)\n", "")
+
+    @pytest.mark.parametrize(
+        "command",
+        (
+            ("tree", "register", "(. .)"),
+            ("path", "rdeg", "RU"),
+            ("figure", "fringe-fluctuation", "--points", "2"),
+            ("verify", "--quick"),
+        ),
+        ids=lambda argv: argv[0],
+    )
+    def test_format_is_a_table_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--format", "csv"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert out.err.endswith(
+            "redcalc: error: unrecognized arguments: --format csv\n"
+        )
 
     def test_negative_order_is_domain_error(self, capsys):
         for family in ("B", "H"):
@@ -441,14 +477,32 @@ class TestVerify:
                 yield first, codes, lens
 
         monkeypatch.setattr(oracle, "_extremal_levels", no_long_last)
-        assert cli._verify_bounds({}, {}, 512) == "extremal path fails at n=3"
+        assert verify._verify_bounds({}, {}, 512) == "extremal path fails at n=3"
         monkeypatch.setattr(oracle, "_extremal_levels", all_right_steps)
-        assert cli._verify_bounds({}, {}, 512) == "extremal path fails at n=4"
+        assert verify._verify_bounds({}, {}, 512) == "extremal path fails at n=4"
+
+    @pytest.mark.parametrize(
+        "pick, field, problem",
+        [
+            (lambda t, p: t[3].per_r[1], "max", "branch bounds not sharp at n=3, r=1"),
+            (lambda t, p: t[4].total, "min", "total branch bounds not sharp at n=4"),
+            (lambda t, p: p[5].per_r[2], "min", "fringe bounds not sharp at n=5, r=2"),
+            (lambda t, p: p[5].total, "max", "total fringe bounds not sharp at n=5"),
+            (lambda t, p: p[4].rdeg, "max", "rdeg upper bound not sharp at n=4"),
+        ],
+        ids=["tree-r-branch", "tree-total", "path-fringe", "path-total", "rdeg"],
+    )
+    def test_bounds_check_catches_a_corrupted_range(self, pick, field, problem):
+        trees, paths = verify._oracle_stats(5, 5)
+        assert verify._verify_bounds(trees, paths, 1) is None
+        acc = pick(trees, paths)
+        setattr(acc, field, getattr(acc, field) + 1)
+        assert verify._verify_bounds(trees, paths, 1) == problem
 
     def test_extremal_check_memory(self):
         tracemalloc.start()
         try:
-            problem = cli._verify_bounds({}, {}, 4096)
+            problem = verify._verify_bounds({}, {}, 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -592,21 +646,6 @@ class TestColdStart:
         code, out, _, loaded = run_fresh("verify", "--quick")
         assert (code, out.count("PASS")) == (1, 4)
         assert _optional(loaded) == list(_OPTIONAL)
-
-    def test_verify_names_resolve_through_cli(self):
-        from redcalc import verify
-
-        for name in (
-            "_verify_identities",
-            "_oracle_stats",
-            "_verify_three_way",
-            "_verify_bounds",
-            "_verify_residuals",
-            "_verify_clt",
-        ):
-            assert getattr(cli, name) is getattr(verify, name)
-        with pytest.raises(AttributeError):
-            getattr(cli, "_verify_no_such_group")
 
     def test_no_module_level_import_of_a_deferred_module(self):
         imported = set()
