@@ -10,7 +10,7 @@ and are precomputed once per (family, K) pair.
 import cmath
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import DomainError
 from .special import EULER_GAMMA, digamma_c, gamma_c, zeta_c
@@ -161,6 +161,24 @@ def _finite(value, r):
     return value
 
 
+def _float_n(expansion):
+    """expansion, raising a DomainError where n is too large for its float
+    arithmetic (an int beyond 2^1024 does not convert to a float) rather
+    than an OverflowError."""
+
+    @wraps(expansion)
+    def checked(n, *args, **kwargs):
+        try:
+            return expansion(n, *args, **kwargs)
+        except OverflowError:
+            raise DomainError(
+                "n is too large for the float arithmetic of the asymptotic expansions"
+            ) from None
+
+    return checked
+
+
+@_float_n
 def asy_r_branch_mean(n, r):
     """Expected number of r-branches, all printed terms through 1/n^2.
     Not finite, so a DomainError, from r = 256 on."""
@@ -176,6 +194,7 @@ def asy_r_branch_mean(n, r):
     return AsymptoticValue(_finite(value, r), "O(n^-3)", n, r=r)
 
 
+@_float_n
 def asy_r_branch_var(n, r):
     """Variance of the number of r-branches, through 1/n.  Not finite, so
     a DomainError, from r = 171 on."""
@@ -206,6 +225,7 @@ def _zeta_prime_at_minus_one():
     return float.fromhex("-0x1.52c8521215340p-3")
 
 
+@_float_n
 def asy_total_branches_smooth(n):
     """Expected total branch count of a uniform size-n tree without its
     periodic fluctuation: the terms through the constant."""
@@ -250,6 +270,7 @@ def asy_rdeg(n, big_k=20, which="mean"):
     return AsymptoticValue(value, "O(log n / n)", n, big_k=big_k)
 
 
+@_float_n
 def asy_count_rdeg(n, r):
     """Main term for the number of length-n paths of reduction degree r.
 
@@ -262,6 +283,7 @@ def asy_count_rdeg(n, r):
     return (4.0 * c2) ** n * (4.0 * math.tan(a) ** 2 * n - 2.0 / c2)
 
 
+@_float_n
 def asy_fringe(n, r, which="mean"):
     """Mean or variance of the r-th fringe size of a uniform length-n path.
 
@@ -276,9 +298,8 @@ def asy_fringe(n, r, which="mean"):
     if which == "mean":
         value = n / q + (1.0 - 1.0 / q) / 3.0
     elif which == "variance":
-        value = (q - 1.0) / (3.0 * q * q) * n + (-2.0 * q * q - 5.0 * q + 7.0) / (
-            45.0 * q * q
-        )
+        q2 = _finite(q * q, r)
+        value = (q - 1.0) / (3.0 * q2) * n + (-2.0 - 5.0 / q + 7.0 / q2) / 45.0
     else:
         raise DomainError(f"unknown moment {which!r}")
     tag = "O(n^5 theta_r^-n)" if r >= 2 else "exact"
@@ -296,6 +317,7 @@ def theta_r(r):
     return 4.0 / (2.0 + 2.0 * math.cos(math.ldexp(2.0 * math.pi, -r)))
 
 
+@_float_n
 def asy_total_fringe_smooth(n):
     """Expected total fringe size of a uniform length-n path without its
     periodic fluctuation: the terms through the constant."""

@@ -2,13 +2,17 @@
 
 Enumeration keeps every statistic as exact integers, so agreement with the
 series and closed-form backends can be asserted as equality.  The tree scan
-is a numpy pass with one row per tree, built bottom-up by the register rule;
-the path scan is a numpy pass with one row of step codes per path, reduced
-block by block by one kernel that the fringe sampler and the extremal-path
-check share.  Both scans run on the calling thread.  The cherry sampler
-runs the Markov chain that the cherry count follows under Remy's leaf
-insertion, with no tree built.  Samplers draw fixed-size chunks from
-streams split off one seed, so their output depends on the seed alone.
+is a numpy pass with one packed int32 row per tree (register code, branch
+count per r, total branch count), built bottom-up by the register rule:
+the row of Node(x, y) is row x + row y plus one entry of a small table
+looked up by the register codes of x and y, so joining two sizes costs a
+handful of numpy calls whatever the width of a row.  The path scan is a
+numpy pass with one row of step codes per path, reduced block by block by
+one kernel that the fringe sampler and the extremal-path check share.
+Both scans run on the calling thread.  The cherry sampler runs the Markov
+chain that the cherry count follows under Remy's leaf insertion, with no
+tree built.  Samplers draw fixed-size chunks from streams split off one
+seed, so their output depends on the seed alone.
 
 This is the only module that imports numpy, and the command line imports
 it only for requests that enumerate or sample.  The size caps TREE_CAP and
@@ -156,91 +160,134 @@ class TreeStats:
 
 # upper bound on the rows of one block of trees (and of its temporaries)
 _BLOCK_ROWS = 1 << 20
+# rows per bincount in tree_stats, whose temporaries take 8 bytes per field and row
+_FOLD_ROWS = 1 << 12
 
 
-def _tree_blocks(k, regs, cnts, max_rows=_BLOCK_ROWS):
-    """Root registers and branch-count rows of the size-k trees.
+def _tree_layout(n):
+    """Bit fields of a packed tree row, and the join table, for trees of
+    size at most n.
 
-    regs[i] / cnts[i] hold the rows of the size-i trees for every i < k.
-    cnts[i] has more columns than log2(k + 1), the largest register of a
-    size-k tree.  Yields (reg, cnt) blocks of at most max_rows rows whose
-    concatenation is in enumerate_trees order: left-subtree size, then
-    left index, then right index.  Node(a, b) gets
-    counts(a) + counts(b) + [reg a = reg b] e_{reg a + 1} and register
-    reg a + 1 if reg a = reg b, else max(reg a, reg b).
+    A row is one int32.  Its fields, lowest bits first, are the register
+    code 2^register, the r-branch count for r = 0..w-1 and the total
+    branch count, where w is the bit length of n + 1, so registers stay
+    below w.  Each field is as wide as its largest value needs: the code
+    field holds any sum 2^a + 2^b of two codes below 2^w; a tree of size
+    <= n has at most (n + 1) >> r r-branches, whose subtrees are disjoint
+    and have 2^r leaves or more, and at most 2n + 1 branches in all.
+    fields lists the (shift, mask) of each field.
+
+    join[2^a + 2^b], indexed by the code field of row x + row y, is what
+    the row of Node(x, y) adds to that sum when x has register a and y
+    register b.  By the register rule Node(x, y) has register max(a, b)
+    if a != b, so for a > b the entry is -2^b; if a == b it has register
+    a + 1, whose code is the sum 2^a + 2^a itself, and it starts one more
+    (a + 1)-branch, so the entry adds one to that count and to the total.
     """
-    width = cnts[0].shape[1]
+    w = (n + 1).bit_length()
+    bounds = [(1 << w) - 1] + [(n + 1) >> r for r in range(w)] + [2 * n + 1]
+    fields, shift = [], 0
+    for bound in bounds:
+        fields.append((shift, (1 << bound.bit_length()) - 1))
+        shift += bound.bit_length()
+    if shift > 31:
+        raise ResourceCapError(f"packed tree rows need {shift} bits at n = {n}")
+    join = np.zeros(1 << w, dtype=np.int32)
+    for a in range(w):
+        for b in range(a):
+            join[(1 << a) + (1 << b)] = -(1 << b)
+        if a + 1 < w:  # register w needs more than n + 1 leaves
+            join[2 << a] = (1 << fields[a + 2][0]) + (1 << fields[-1][0])
+    return fields, join
+
+
+def _tree_blocks(k, rows, layout, max_rows=_BLOCK_ROWS):
+    """Packed rows of the size-k trees, from rows[i] for every i < k.
+
+    Yields blocks of at most max_rows rows whose concatenation is in
+    enumerate_trees order: left-subtree size, then left index, then
+    right index.  Node(x, y)'s row is s + join[code field of s] with
+    s = row x + row y, one table lookup however many fields a row has.
+    """
+    fields, join = layout
+    mask = fields[0][1]  # the register code is the lowest field
     for i in range(k):
-        left_reg, left_cnt = regs[i], cnts[i]
-        right_reg, right_cnt = regs[k - 1 - i], cnts[k - 1 - i]
-        rstep = min(len(right_reg), max_rows)
-        lstep = max(1, max_rows // len(right_reg))
-        for a in range(0, len(left_reg), lstep):
-            rl = left_reg[a : a + lstep, None]
-            lc = left_cnt[a : a + lstep, None, :]
-            for b in range(0, len(right_reg), rstep):
-                rr = right_reg[None, b : b + rstep]
-                eq = rl == rr
-                reg = np.where(eq, rl + 1, np.maximum(rl, rr))
-                cnt = lc + right_cnt[None, b : b + rstep, :]
-                for c in range(1, width):
-                    cnt[:, :, c] += eq & (reg == c)
-                yield reg.ravel(), cnt.reshape(-1, width)
+        left, right = rows[i], rows[k - 1 - i]
+        rstep = min(len(right), max_rows)
+        lstep = max(1, max_rows // len(right))
+        for a in range(0, len(left), lstep):
+            lrow = left[a : a + lstep, None]
+            for b in range(0, len(right), rstep):
+                block = lrow + right[None, b : b + rstep]
+                block += join.take(np.bitwise_and(block, mask, dtype=np.intp))
+                yield block.ravel()
 
 
-def _tree_tables(n, width):
-    """Rows of every tree of each size 0..n-1, in enumerate_trees order.
-
-    Size 0, the leaf, is always included.  Returns lists regs, cnts:
-    regs[k] is the int8 root register of each size-k tree, cnts[k] its
-    int8 branch counts zero-padded to width columns.  width must exceed
-    the largest register, log2(n) rounded down.
-    """
-    regs = [np.zeros(1, dtype=np.int8)]
-    cnts = [np.zeros((1, width), dtype=np.int8)]
-    cnts[0][0, 0] = 1  # a leaf is one 0-branch
+def _tree_tables(n, layout):
+    """Packed rows of every tree of each size 0..n-1, in enumerate_trees
+    order: rows[k] holds one int32 per size-k tree.  Size 0, the leaf, is
+    always included: register 0 (code 1), one 0-branch, one branch in all."""
+    fields = layout[0]
+    leaf = 1 + (1 << fields[1][0]) + (1 << fields[-1][0])
+    rows = [np.array([leaf], dtype=np.int32)]
     for k in range(1, n):
-        rows = sum(len(regs[i]) * len(regs[k - 1 - i]) for i in range(k))
-        reg = np.empty(rows, dtype=np.int8)
-        cnt = np.empty((rows, width), dtype=np.int8)
+        size = sum(len(rows[i]) * len(rows[k - 1 - i]) for i in range(k))
+        table = np.empty(size, dtype=np.int32)
         at = 0
-        for block_reg, block_cnt in _tree_blocks(k, regs, cnts):
-            reg[at : at + len(block_reg)] = block_reg
-            cnt[at : at + len(block_reg)] = block_cnt
-            at += len(block_reg)
-        regs.append(reg)
-        cnts.append(cnt)
-    return regs, cnts
+        for block in _tree_blocks(k, rows, layout):
+            table[at : at + len(block)] = block
+            at += len(block)
+        rows.append(table)
+    return rows
 
 
-def _fold(acc, values):
-    """Add every entry of a nonnegative integer array to acc, by histogram."""
-    for x, weight in enumerate(np.bincount(values).tolist()):
+def _add_histogram(acc, hist):
+    """Add hist[x] entries equal to x to acc, for every x."""
+    for x, weight in enumerate(hist):
         if weight:
             acc.add(x, weight)
 
 
+def _fold(acc, values):
+    """Add every entry of a nonnegative integer array to acc, by histogram."""
+    _add_histogram(acc, np.bincount(values).tolist())
+
+
 def tree_stats(n, r_max=None, cap=TREE_CAP):
-    """Exact branch statistics over all trees of size n, one row of an
-    exhaustive numpy scan per tree."""
+    """Exact branch statistics over all trees of size n, one packed row of
+    an exhaustive numpy scan per tree."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     if n > cap:
         raise ResourceCapError(f"tree enumeration capped at n = {cap}")
     if r_max is None:
         r_max = max((n + 1).bit_length() - 1, 1)
-    width = (n + 1).bit_length()  # registers of size-n trees are <= log2(n+1)
+    layout = _tree_layout(n)
+    fields = layout[0]
+    width = len(fields) - 2
+    # one histogram of all fields: field f counts its values in the bins
+    # bounds[f] to bounds[f + 1], so one bincount per chunk covers them all
+    bounds = list(itertools.accumulate((mask + 1 for _, mask in fields), initial=0))
+    shifts, masks, offsets = (
+        np.array(column, dtype=np.intp)[:, None]
+        for column in (*zip(*fields), bounds[:-1])
+    )
+    hist = np.zeros(bounds[-1], dtype=np.int64)
+    rows = _tree_tables(n, layout)
+    for block in _tree_blocks(n, rows, layout) if n else rows:
+        for at in range(0, len(block), _FOLD_ROWS):
+            values = block[at : at + _FOLD_ROWS] >> shifts  # one row per field
+            values &= masks
+            values += offsets
+            hist += np.bincount(values.ravel(), minlength=bounds[-1])
+            del values  # before the next chunk's values exist
+    hists = [hist[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
     per_r = [StatAccumulator() for _ in range(min(r_max, width - 1) + 1)]
+    for acc, counts in zip(per_r, hists[1:]):
+        _add_histogram(acc, counts)
     total = StatAccumulator()
-    hist = np.zeros(width, dtype=np.int64)
-    regs, cnts = _tree_tables(n, width)
-    blocks = _tree_blocks(n, regs, cnts) if n else [(regs[0], cnts[0])]
-    for reg, cnt in blocks:
-        for r, acc in enumerate(per_r):
-            _fold(acc, cnt[:, r])
-        _fold(total, cnt.sum(axis=1))
-        hist += np.bincount(reg, minlength=width)
-    register_hist = {r: c for r, c in enumerate(hist.tolist()) if c}
+    _add_histogram(total, hists[-1])
+    register_hist = {r: hists[0][1 << r] for r in range(width) if hists[0][1 << r]}
     return TreeStats(n, _PerR(per_r, r_max, total.count), total, register_hist)
 
 

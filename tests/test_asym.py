@@ -231,6 +231,24 @@ class TestFringeExpansions:
         assert asym.asy_fringe(10, 1, "mean").error_order == "exact"
         assert asym.asy_fringe(10, 2, "mean").error_order.startswith("O(")
 
+    def test_variance_constant_term_does_not_overflow(self):
+        # the constant term as it was written before, over 45 q^2, which
+        # overflows at r = 255; below that the two forms agree bit for bit
+        def over_q_squared(n, r):
+            q = 4.0**r
+            return (q - 1.0) / (3.0 * q * q) * n + (-2.0 * q * q - 5.0 * q + 7.0) / (
+                45.0 * q * q
+            )
+
+        for n in (1, 5, 100, 4097, 10**6):
+            for r in range(255):
+                got = asym.asy_fringe(n, r, "variance").value
+                assert got.hex() == over_q_squared(n, r).hex()
+            got = asym.asy_fringe(n, 255, "variance").value
+            assert math.isclose(got, -2 / 45, rel_tol=1e-12)
+            with pytest.raises(DomainError, match="overflows a float at r = 256$"):
+                asym.asy_fringe(n, 256, "variance")
+
     def test_theta_r(self):
         assert abs(asym.theta_r(2) - 2.0) < 1e-12
         assert asym.theta_r(3) > 1

@@ -310,6 +310,30 @@ class TestTable:
         assert result[:2] == (0, "0\n")
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "quantity",
+        [
+            ("r-branches-mean", "--r", "1"),
+            ("fringe-mean", "--r", "1"),
+            ("branches-total-mean",),
+            ("fringe-total-mean",),
+        ],
+        ids=lambda quantity: quantity[0],
+    )
+    def test_asymptotic_n_beyond_float_range(self, capsys, quantity):
+        argv = ["table", *quantity, "--method", "asymptotic", "--n", str(10**400)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "redcalc: n is too large for the float arithmetic"
+            " of the asymptotic expansions\n"
+        )
+
+    def test_asymptotic_rdeg_mean_at_huge_n_is_finite(self, capsys):
+        argv = ["table", "rdeg-mean", "--method", "asymptotic", "--n", str(10**400)]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "664.7853623034268\n")
+
     def test_oracle_respects_cap(self, capsys):
         code, _, err = run(
             capsys, "table", "rdeg-mean",

@@ -178,24 +178,31 @@ class TestTreeStats:
 
 class TestTreeScan:
     def test_table_rows_match_enumeration(self):
-        width = 4
-        regs, cnts = oracle._tree_tables(10, width)
+        layout = oracle._tree_layout(10)
+        fields = layout[0]
+        width = len(fields) - 2
+        rows = oracle._tree_tables(10, layout)
         for n in range(10):
-            want = [
-                (register(t), _padded(branch_counts(t).counts, width))
-                for t in enumerate_trees(n)
-            ]
-            got = list(zip(regs[n].tolist(), map(tuple, cnts[n].tolist())))
+            want = []
+            for t in enumerate_trees(n):
+                bc = branch_counts(t)
+                want.append((1 << register(t), _padded(bc.counts, width), bc.total))
+            columns = [((rows[n] >> shift) & mask).tolist() for shift, mask in fields]
+            got = [(row[0], tuple(row[1:-1]), row[-1]) for row in zip(*columns)]
             assert got == want
 
     def test_small_blocks_keep_order(self):
-        regs, cnts = oracle._tree_tables(7, 4)
-        whole = list(oracle._tree_blocks(7, regs, cnts))
-        small = list(oracle._tree_blocks(7, regs, cnts, max_rows=5))
-        assert max(len(reg) for reg, _ in small) <= 5
-        for i in (0, 1):
-            joined = np.concatenate([block[i] for block in small])
-            assert (joined == np.concatenate([block[i] for block in whole])).all()
+        layout = oracle._tree_layout(7)
+        rows = oracle._tree_tables(7, layout)
+        whole = list(oracle._tree_blocks(7, rows, layout))
+        small = list(oracle._tree_blocks(7, rows, layout, max_rows=5))
+        assert max(len(block) for block in small) <= 5
+        assert (np.concatenate(small) == np.concatenate(whole)).all()
+
+    def test_rows_wider_than_int32_refused(self):
+        oracle._tree_layout(30)  # the largest size whose rows fit
+        with pytest.raises(ResourceCapError):
+            tree_stats(31, cap=31)
 
     @pytest.mark.parametrize("r_max", [None, 1, 2, 3])
     def test_matches_reference_loop(self, r_max):
@@ -239,6 +246,17 @@ class TestTreeScan:
             tracemalloc.stop()
         assert st.total.count == 9694845
         assert peak < 64 * 2**20
+
+    def test_scan_peak_at_size_eleven(self):
+        tree_stats(11)
+        tracemalloc.start()
+        try:
+            st = tree_stats(11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.total.count == 58786
+        assert peak < 520 * 1024
 
 
 def _padded(counts, width):
