@@ -232,8 +232,8 @@ class TestFringeExpansions:
         assert asym.asy_fringe(10, 2, "mean").error_order.startswith("O(")
 
     def test_variance_constant_term_does_not_overflow(self):
-        # the constant term as it was written before, over 45 q^2, which
-        # overflows at r = 255; below that the two forms agree bit for bit
+        # the constant term over 45 q^2 overflows at r = 255; below that it
+        # must give the same bits as the form divided through by q^2
         def over_q_squared(n, r):
             q = 4.0**r
             return (q - 1.0) / (3.0 * q * q) * n + (-2.0 * q * q - 5.0 * q + 7.0) / (
