@@ -185,11 +185,15 @@ def asy_r_branch_mean(n, r):
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
     q = _four_to(r)
+    try:  # rounded as float/int division rounds it
+        twelve_n2 = float(12 * n * n)
+    except OverflowError:  # from n = 3.9e153 on; the n^-2 term is then 0
+        twelve_n2 = math.inf
     value = (
         n / q
         + (1 + 5 / q) / 6
         + (q - 1 / q) / (20 * n)
-        + (5 * q * q / 21 - 7 * q / 10 + 97 / (210 * q)) / (12 * n * n)
+        + (5 * q * q / 21 - 7 * q / 10 + 97 / (210 * q)) / twelve_n2
     )
     return AsymptoticValue(_finite(value, r), "O(n^-3)", n, r=r)
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import asym
 from .errors import PATH_CAP, TREE_CAP, DomainError, ResourceCapError
-from .paths import _COLLAPSE, STEPS
+from .paths import _COLLAPSE, _EXPAND, STEPS
 from .trees import LEAF, Node
 
 __all__ = [
@@ -315,6 +315,12 @@ def _collapse_codes():
 _COLLAPSE_CODES = _collapse_codes()
 
 
+# paths._EXPAND over step codes: the h and the v code of each step
+_EXPAND_H, _EXPAND_V = (
+    np.array([STEPS.index(_EXPAND[s][i]) for s in STEPS], dtype=np.uint8) for i in (0, 1)
+)
+
+
 def _size_dtype(n):
     """Integer type of path lengths and fringe sizes up to n."""
     return np.int16 if n < 2**15 else np.int32
@@ -399,14 +405,9 @@ def _extremal_levels(n_max):
         width = 2 * codes.shape[1] + 1
         pair = np.zeros((half, 2, width), dtype=np.uint8)
         nxt = pair.reshape(2 * half, width)
-        # paths._EXPAND on codes: step c becomes h v, with h = R for R, D
-        # and L for U, L, which is 3 - (c + 1 & 2), and v = U for U, R and
-        # D for D, L, which is c & 2.  Both children start with it.
-        h, v = pair[:, :, 0:-1:2], pair[:, :, 1::2]
-        np.add(parent[:, None], 1, out=h)
-        h &= 2
-        np.subtract(3, h, out=h)
-        np.bitwise_and(parent[:, None], 2, out=v)
+        # paths._EXPAND: step c becomes h v in both children
+        pair[:, :, 0:-1:2] = _EXPAND_H[parent][:, None]
+        pair[:, :, 1::2] = _EXPAND_V[parent][:, None]
         odd = 2 * np.arange(half) + 1
         nxt[odd, 2 * plen] = nxt[odd, 2 * plen - 1]  # bit 1: the last
         nxt[odd, 2 * plen - 1] = nxt[odd, 2 * plen - 2]  # h v becomes h h v
@@ -524,7 +525,19 @@ def sample_path(n, gen):
     return "".join(rng.choice(STEPS) for _ in range(n))
 
 
-def sample_cherry_counts(n, samples, gen, batch=5000):
+# samples per split of the generator; every sample stream depends on it
+_SAMPLE_BATCH = 5000
+
+
+def _batches(samples, gen, label):
+    """(start, size, rng) for each batch of _SAMPLE_BATCH samples, the k-th
+    drawing from its own split gen.split(f"{label}:{k}")."""
+    for k, start in enumerate(range(0, samples, _SAMPLE_BATCH)):
+        size = min(_SAMPLE_BATCH, samples - start)
+        yield start, size, gen.split(f"{label}:{k}").numpy_rng()
+
+
+def sample_cherry_counts(n, samples, gen):
     """Cherry counts (= 1-branch counts) of uniform size-n trees.
 
     Runs the cherry count of Remy's construction as its own Markov chain
@@ -539,41 +552,29 @@ def sample_cherry_counts(n, samples, gen, batch=5000):
     if n < 1:
         raise DomainError("need n >= 1")
     out = np.empty(samples, dtype=np.int64)
-    done = 0
-    chunk_no = 0
-    while done < samples:
-        size = min(batch, samples - done)
-        rng = gen.split(f"cherries:{chunk_no}").numpy_rng()
+    for start, size, rng in _batches(samples, gen, "cherries"):
         cherries = np.zeros(size, dtype=np.int64)
         for k in range(n):
             cherries += rng.integers(0, 2 * k + 1, size=size) < k + 1 - 2 * cherries
-        out[done : done + size] = cherries
-        done += size
-        chunk_no += 1
+        out[start : start + size] = cherries
     return out
 
 
-def sample_fringe_sizes(n, r, samples, gen, batch=5000):
+def sample_fringe_sizes(n, r, samples, gen):
     """Sizes of the r-th fringe of uniform length-n paths."""
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
     out = np.zeros(samples, dtype=np.int64)
     rows = max(1, _BLOCK_CELLS // n)
-    done = 0
-    chunk_no = 0
-    while done < samples:
-        size = min(batch, samples - done)
-        rng = gen.split(f"fringes:{chunk_no}").numpy_rng()
+    for start, size, rng in _batches(samples, gen, "fringes"):
         codes = rng.integers(0, 4, size=(size, n), dtype=np.uint8)
         if r < n.bit_length():  # else every r-th fringe is empty
             for a in range(0, size, rows):
                 block = codes[a : a + rows]
                 lens = np.full(len(block), n, dtype=_size_dtype(n))
-                out[done + a : done + a + len(block)] = _fringe_table(
+                out[start + a : start + a + len(block)] = _fringe_table(
                     block, lens, r
                 )[:, r]
-        done += size
-        chunk_no += 1
     return out
 
 

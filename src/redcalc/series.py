@@ -2,16 +2,16 @@
 
 All generating-function recurrences of the toolkit live here: the
 register-bounded tree series, the branch moment series, the reduction-degree
-path series and the bivariate fringe series.  Each univariate family solves
-one functional equation f_{r+1} = a + b * f_r(sigma) with sigma(z) =
-z^2/(1-2z)^2, so one stage engine, ``_stages``, computes them all from a
-table of (seed, a, b) entries; every public function reads its result off
-the stages of one pass.  The bivariate fringe series solves H_{r+1} =
-4 H_r(sigma, v); since substituting in z is linear in v, it is stored as
-one TruncatedSeries per v-degree, so it runs on the same composition and
-product as every other family.  No floating point is used in this module;
-a division that does not come out integral raises ExactnessError instead
-of silently rounding.
+path series and the bivariate fringe series.  The tree families and the
+iterates sigma_r of sigma(z) = z^2/(1-2z)^2 each solve one functional
+equation f_{r+1} = a + b * f_r(sigma), so one stage engine, ``_stages``,
+computes them all from a table of (seed, a, b) entries; every public
+function reads its result off the stages of one pass.  The path families
+are read off sigma's stages: L_r = sum_{k <= r} 4^(k+1) sigma_k, and the
+bivariate fringe series H_r, stored as one TruncatedSeries per v-degree,
+has [v^m] H_r = 4^(r+m) sigma_r^m.  No floating point is used in this
+module; a division that does not come out integral raises ExactnessError
+instead of silently rounding.
 """
 
 import math
@@ -162,10 +162,6 @@ def _zero(order):
     return TruncatedSeries([0] * (order + 1))
 
 
-def _four_z(order):
-    return TruncatedSeries.from_terms(order, {1: 4})
-
-
 def sigma_series(order):
     """z^2/(1-2z)^2; coefficient of z^n is (n-1)*2^(n-2) for n >= 2."""
     c = [0] * (order + 1)
@@ -204,13 +200,12 @@ def _chain(order):
     return base_series("chain_C", order)
 
 
-# Every univariate family solves f_{k+1} = a + b * f_k(sigma) from f_0 = seed.
+# Every tree family and sigma_r solve f_{k+1} = a + b * f_k(sigma) from f_0 = seed.
 # Each entry builds (seed, a, b) at one order; b is a series or an integer.
 _RECURRENCES = {
     "B": lambda o: (_one(o), _one(o), _chain(o)),
     "F1": lambda o: (base_series("inv_sqrt_1m4z", o), _zero(o), _chain(o)),
     "F2": lambda o: (base_series("F0_second", o), _zero(o), _chain(o)),
-    "L": lambda o: (_four_z(o), _four_z(o), 4),
     "sigma": lambda o: (_z(o), _zero(o), 1),
 }
 
@@ -246,14 +241,11 @@ def b_r_series(r, order):
     return _stages("B", r, order)[-1]
 
 
-def _last_difference(stages):
-    # f_r - f_{r-1}, with f_{-1} = 0
-    return stages[-1] - stages[-2] if len(stages) > 1 else stages[0]
-
-
 def b_r_equal_series(r, order):
     """Trees with register exactly r; the constant series 1 for r = 0."""
-    return _last_difference(_stages("B", r, order))
+    stages = _stages("B", r, order)
+    # f_r - f_{r-1}, with f_{-1} = 0
+    return stages[-1] - stages[-2] if len(stages) > 1 else stages[0]
 
 
 def f1_series(r, order):
@@ -267,13 +259,19 @@ def f2_series(r, order):
 
 
 def l_r_series(r, order):
-    """Paths with reduction degree <= r."""
-    return _stages("L", r, order)[-1]
+    """Paths with reduction degree <= r: sum_{k <= r} 4^(k+1) sigma_k."""
+    total = _zero(order)
+    for k, s in enumerate(_stages("sigma", r, order)):
+        total = total + 4 ** (k + 1) * s
+    return total
 
 
 def l_r_equal_series(r, order):
-    """Paths with reduction degree exactly r."""
-    return _last_difference(_stages("L", r, order))
+    """Paths with reduction degree exactly r: 4^(r+1) sigma_r."""
+    s = sigma_iterate(r, order)
+    if s.valuation() > order:
+        return s  # sigma_r = O(z^(2^r)): no path this short reduces r times
+    return 4 ** (r + 1) * s
 
 
 def branch_total_series(order):
@@ -328,9 +326,6 @@ class BivariateSeries:
             return NotImplemented
         return self.cols == other.cols
 
-    def scale(self, factor):
-        return BivariateSeries(factor * c for c in self.cols)
-
     def compose_z(self, inner):
         """Substitute z -> inner(z); v is untouched."""
         return BivariateSeries(c.compose(inner) for c in self.cols)
@@ -347,17 +342,15 @@ class BivariateSeries:
 def h_r_bivariate(r, order):
     """Bivariate fringe series: v marks the r-th fringe size, z the length.
 
-    H_0 = sum_{m >= 1} (4zv)^m and H_{k+1} = 4 H_k(sigma(z), v).
+    H_0 = sum_{m >= 1} (4zv)^m and H_{k+1} = 4 H_k(sigma(z), v), so
+    [v^m] H_r = 4^(r+m) sigma_r^m.  The powers stop at the first one that
+    vanishes below the order; every later column is zero too.
     """
-    if r < 0:
-        raise DomainError("r must be nonnegative")
-    h = BivariateSeries(
-        [_zero(order)]
-        + [TruncatedSeries.from_terms(order, {m: 4**m}) for m in range(1, order + 1)]
-    )
-    sig = sigma_series(order)
-    for _ in range(r):
-        h, last = h.compose_z(sig).scale(4), h
-        if h == last:  # a fixed point, as in _stages
+    s = sigma_iterate(r, order)
+    cols, power = [_zero(order)] * (order + 1), s
+    for m in range(1, order + 1):
+        if power.valuation() > order:
             break
-    return h
+        cols[m] = 4 ** (r + m) * power
+        power = power * s
+    return BivariateSeries(cols)

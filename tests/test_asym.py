@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from redcalc import asym, exact
+from redcalc import asym, exact, series
 from redcalc.errors import DomainError
 from redcalc.special import zeta_c
 
@@ -117,6 +117,29 @@ class TestRBranchExpansions:
                 ):
                     expansion(n, r)
             assert math.isfinite(asym.asy_fringe(n, 511, "mean").value)
+
+    def test_mean_is_finite_where_12_n_squared_is_not_a_float(self):
+        # 12 n^2 leaves the float range from n = 3.9e153 on; n does not
+        for n in (4 * 10**153, 10**200):
+            for r in (0, 1, 3, 255):
+                assert math.isfinite(asym.asy_r_branch_mean(n, r).value)
+            assert math.isfinite(asym.asy_r_branch_var(n, 1).value)
+        assert asym.asy_r_branch_mean(10**200, 1).value == 10**200 / 4
+
+    def test_mean_bits_match_division_by_int(self):
+        def divided_by_int(n, r):
+            q = 4.0**r
+            return (
+                n / q
+                + (1 + 5 / q) / 6
+                + (q - 1 / q) / (20 * n)
+                + (5 * q * q / 21 - 7 * q / 10 + 97 / (210 * q)) / (12 * n * n)
+            )
+
+        for n in (1, 2, 7, 100, 4097, 10**6, 3**50, 10**100, 3 * 10**153):
+            for r in range(256):
+                got = asym.asy_r_branch_mean(n, r).value
+                assert got.hex() == divided_by_int(n, r).hex(), (n, r)
 
     def test_mean_residual_n100(self):
         got = asym.asy_r_branch_mean(100, 1).value
@@ -248,6 +271,26 @@ class TestFringeExpansions:
             assert math.isclose(got, -2 / 45, rel_tol=1e-12)
             with pytest.raises(DomainError, match="overflows a float at r = 256$"):
                 asym.asy_fringe(n, 256, "variance")
+
+    def test_variance_matches_exact_values(self):
+        # the exact variance is E[X^2], from the second-moment series, minus
+        # the square of the closed-form mean
+        def residuals(r, ns):
+            sq = series.fringe_moment_series(r, max(ns), "second_factorial_combined")
+            for n in ns:
+                var = Fraction(sq[n], 4**n) - exact.expected_fringe(n, r) ** 2
+                yield n, Fraction(asym.asy_fringe(n, r, "variance").value) - var
+
+        # r <= 1: no error term from n = 4 on; below that the r = 1 form
+        # is off, giving 1/16 and 1/8 at n = 2 and 3 for a variance of 0
+        assert all(d == 0 for _, d in residuals(0, range(1, 65)))
+        assert all(d == 0 for _, d in residuals(1, range(4, 65)))
+        # r >= 2: O(n^5 theta_r^-n), at sizes where the residual is far
+        # above float rounding
+        for r, ns, bound in ((2, (24, 32, 40, 48), 0.01), (3, (64, 96, 128), 3e-6)):
+            theta = asym.theta_r(r)
+            for n, d in residuals(r, ns):
+                assert 1e-10 < abs(d) and abs(d) * theta**n / n**5 < bound, (r, n)
 
     def test_theta_r(self):
         assert abs(asym.theta_r(2) - 2.0) < 1e-12

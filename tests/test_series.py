@@ -25,6 +25,29 @@ from redcalc.series import (
 )
 
 
+def reference_l(r, order):
+    """L_r by its recurrence: L_0 = 4z and L_{k+1} = 4z + 4 L_k(sigma)."""
+    four_z = TruncatedSeries.from_terms(order, {1: 4})
+    sig = sigma_series(order)
+    f = four_z
+    for _ in range(r):
+        f = four_z + 4 * f.compose(sig)
+    return f
+
+
+def reference_h(r, order):
+    """H_r by its recurrence: H_0 = sum_{m >= 1} (4zv)^m and
+    H_{k+1} = 4 H_k(sigma(z), v)."""
+    h = BivariateSeries(
+        [TruncatedSeries([0] * (order + 1))]
+        + [TruncatedSeries.from_terms(order, {m: 4**m}) for m in range(1, order + 1)]
+    )
+    sig = sigma_series(order)
+    for _ in range(r):
+        h = BivariateSeries(4 * c for c in h.compose_z(sig).cols)
+    return h
+
+
 class TestArithmetic:
     def test_add_mul(self):
         a = TruncatedSeries([1, 2, 3])
@@ -173,6 +196,15 @@ class TestEqualitySeries:
             l_r_series(r, order) - l_r_series(r - 1, order)
         )
 
+    @pytest.mark.parametrize("order", [0, 1, 9, 33, 64])
+    @pytest.mark.parametrize("r", range(6))
+    def test_degree_series_match_recurrence(self, r, order):
+        want = reference_l(r, order)
+        assert l_r_series(r, order) == want
+        if r:
+            want = want - reference_l(r - 1, order)
+        assert l_r_equal_series(r, order) == want
+
 
 class TestMomentSeries:
     def test_zero_branch_moment_counts_leaves(self):
@@ -230,12 +262,12 @@ class TestDomain:
 
 
 class TestBivariate:
-    def test_scale_and_moment(self):
+    def test_eval_moment(self):
         # [z^1] = 2v + v^2
         h = BivariateSeries(
             [TruncatedSeries([0, 0]), TruncatedSeries([0, 2]), TruncatedSeries([0, 1])]
         )
-        assert h.scale(3).row(1) == {1: 6, 2: 3}
+        assert h.row(1) == {1: 2, 2: 1}
         assert h.eval_moment("first").c == (0, 4)
         assert h.eval_moment("second_raw").c == (0, 6)
 
@@ -260,15 +292,15 @@ class TestBivariate:
     @pytest.mark.parametrize("order", [0, 1, 9, 24, 40])
     @pytest.mark.parametrize("r", range(5))
     def test_columns_are_powers_of_sigma(self, r, order):
-        # [v^m] H_r = 4^(r+m) sigma_r^m, since H_0 = sum (4zv)^m
-        h = h_r_bivariate(r, order)
-        rows = [h.row(n) for n in range(order + 1)]
+        # [v^m] H_r = 4^(r+m) sigma_r^m, since H_0 = sum (4zv)^m; the
+        # recurrence is the reference, so the identity is checked on it
+        want = reference_h(r, order)
+        assert h_r_bivariate(r, order) == want
         sig = power = sigma_iterate(r, order)
         for m in range(1, order + 1):
-            column = [row.get(m, 0) for row in rows]
-            assert column == list((4 ** (r + m) * power).c), (r, order, m)
+            assert want.cols[m] == 4 ** (r + m) * power, (r, order, m)
             power = power * sig
-        assert all(0 not in row for row in rows)
+        assert all(0 not in want.row(n) for n in range(order + 1))
 
 
 class TestHugeR:
