@@ -292,9 +292,11 @@ def asy_fringe(n, r, which="mean"):
     """Mean or variance of the r-th fringe size of a uniform length-n path.
 
     The error term is exponentially small, O(n^5 theta_r^-n) with
-    theta_r = 4/(2 + 2cos(2 pi/2^r)) > 1 for r >= 2; for r <= 1 the printed
-    terms are exact and the error term is absent.  A value that overflows
-    a float, r >= 256 for the variance, is a DomainError.
+    theta_r = 4/(2 + 2cos(2 pi/2^r)) > 1 for r >= 2.  The printed terms
+    are exact for r = 0, and for r = 1 from n = 3 (mean) or n = 4
+    (variance); below that the r = 1 forms are off by O(1), since every
+    path that short has a first fringe of one fixed size.  A value that
+    overflows a float, r >= 256 for the variance, is a DomainError.
     """
     if n < 1 or r < 0:
         raise DomainError("need n >= 1 and r >= 0")
@@ -306,7 +308,12 @@ def asy_fringe(n, r, which="mean"):
         value = (q - 1.0) / (3.0 * q2) * n + (-2.0 - 5.0 / q + 7.0 / q2) / 45.0
     else:
         raise DomainError(f"unknown moment {which!r}")
-    tag = "O(n^5 theta_r^-n)" if r >= 2 else "exact"
+    if r >= 2:
+        tag = "O(n^5 theta_r^-n)"
+    elif r == 0 or n >= (3 if which == "mean" else 4):
+        tag = "exact"
+    else:
+        tag = "O(1)"
     return AsymptoticValue(_finite(value, r), tag, n, r=r)
 
 

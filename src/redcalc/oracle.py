@@ -160,7 +160,8 @@ class TreeStats:
 
 # upper bound on the rows of one block of trees (and of its temporaries)
 _BLOCK_ROWS = 1 << 20
-# rows per bincount in tree_stats, whose temporaries take 8 bytes per field and row
+# most rows per bincount in tree_stats and path_stats, whose temporaries take
+# 8 bytes per field (or column) and row
 _FOLD_ROWS = 1 << 12
 
 
@@ -246,11 +247,6 @@ def _add_histogram(acc, hist):
     for x, weight in enumerate(hist):
         if weight:
             acc.add(x, weight)
-
-
-def _fold(acc, values):
-    """Add every entry of a nonnegative integer array to acc, by histogram."""
-    _add_histogram(acc, np.bincount(values).tolist())
 
 
 def tree_stats(n, r_max=None, cap=TREE_CAP):
@@ -452,22 +448,40 @@ def path_stats(n, r_max=None, cap=PATH_CAP):
     if r_max is None:
         r_max = max(n.bit_length() - 1, 1)
     depth = n.bit_length() - 1  # the largest reduction degree, log2 n
-    rdeg_acc = StatAccumulator()
-    per_r = [StatAccumulator() for _ in range(min(r_max, depth) + 1)]
-    total = StatAccumulator()
-    hist = np.zeros(depth + 1, dtype=np.int64)
+    # one histogram of all columns, the reduction degree, fringes 0..depth
+    # (the r-th at most n >> r) and the total (below 2n): column c counts
+    # its values in the bins bounds[c] to bounds[c + 1], so one bincount
+    # per chunk covers them all
+    sizes = [depth + 1] + [(n >> r) + 1 for r in range(depth + 1)] + [2 * n]
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    offsets = np.array(bounds[:-1], dtype=np.intp)
+    hist = np.zeros(bounds[-1], dtype=np.int64)
     rows = max(1, _BLOCK_CELLS // n)
+    # the fold's temporaries, 8 bytes per row for each column and for two
+    # more, stay below the 8 bytes per cell that _path_codes takes for a block
+    fold_rows = max(1, min(_FOLD_ROWS, rows * n // (len(sizes) + 2)))
     for first in range(0, 4**n, rows):
         codes = _path_codes(n, first, min(rows, 4**n - first))
         lens = np.full(len(codes), n, dtype=_size_dtype(n))
         table = _fringe_table(codes, lens, depth)
-        rdeg = np.count_nonzero(table, axis=1) - 1
-        _fold(rdeg_acc, rdeg)
-        hist += np.bincount(rdeg, minlength=depth + 1)
-        for r, acc in enumerate(per_r):
-            _fold(acc, table[:, r])
-        _fold(total, table.sum(axis=1))
-    rdeg_hist = {d: c for d, c in enumerate(hist.tolist()) if c}
+        for at in range(0, len(table), fold_rows):
+            part = table[at : at + fold_rows]
+            values = np.empty((len(part), len(sizes)), dtype=np.intp)
+            values[:, 0] = np.count_nonzero(part, axis=1) - 1
+            values[:, 1:-1] = part
+            values[:, -1] = part.sum(axis=1)
+            values += offsets
+            hist += np.bincount(values.ravel(), minlength=bounds[-1])
+            del values  # before the next chunk's values exist
+    hists = [hist[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
+    rdeg_acc = StatAccumulator()
+    _add_histogram(rdeg_acc, hists[0])
+    per_r = [StatAccumulator() for _ in range(min(r_max, depth) + 1)]
+    for acc, counts in zip(per_r, hists[1:]):
+        _add_histogram(acc, counts)
+    total = StatAccumulator()
+    _add_histogram(total, hists[-1])
+    rdeg_hist = {d: c for d, c in enumerate(hists[0]) if c}
     return PathStats(n, rdeg_hist, rdeg_acc, _PerR(per_r, r_max, total.count), total)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from redcalc import asym, exact, series
+from redcalc import asym, exact, oracle, series
 from redcalc.errors import DomainError
 from redcalc.special import zeta_c
 
@@ -253,6 +253,28 @@ class TestFringeExpansions:
     def test_error_tags(self):
         assert asym.asy_fringe(10, 1, "mean").error_order == "exact"
         assert asym.asy_fringe(10, 2, "mean").error_order.startswith("O(")
+
+    def test_exact_tag_only_on_exact_values(self):
+        # r <= 1: the mean against the closed form, the variance against the
+        # second-moment series and, where enumeration is cheap, the oracle;
+        # the r = 1 forms are exact from n = 3 (mean) and n = 4 (variance)
+        sq = {r: series.fringe_moment_series(r, 64, "second_factorial_combined")
+              for r in (0, 1)}
+        for n in range(1, 65):
+            stats = oracle.path_stats(n) if n <= 8 else None
+            for r in (0, 1):
+                mean = exact.expected_fringe(n, r)
+                var = Fraction(sq[r][n], 4**n) - mean**2
+                if stats:
+                    assert stats.per_r[r].variance() == var
+                for which, want, exact_from in (
+                    ("mean", mean, 3), ("variance", var, 4)
+                ):
+                    got = asym.asy_fringe(n, r, which)
+                    tagged = got.error_order == "exact"
+                    assert tagged == (r == 0 or n >= exact_from), (n, r, which)
+                    if tagged:
+                        assert Fraction(got.value) == want, (n, r, which)
 
     def test_variance_constant_term_does_not_overflow(self):
         # the constant term over 45 q^2 overflows at r = 255; below that it

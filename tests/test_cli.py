@@ -501,9 +501,11 @@ class TestVerify:
                 yield first, codes, lens
 
         monkeypatch.setattr(oracle, "_extremal_levels", no_long_last)
-        assert verify._verify_bounds({}, {}, 512) == "extremal path fails at n=3"
+        problems = list(verify._verify_bounds({}, {}, 512))
+        assert problems == ["extremal path fails at n=3"]
         monkeypatch.setattr(oracle, "_extremal_levels", all_right_steps)
-        assert verify._verify_bounds({}, {}, 512) == "extremal path fails at n=4"
+        problems = list(verify._verify_bounds({}, {}, 512))
+        assert problems == ["extremal path fails at n=4"]
 
     @pytest.mark.parametrize(
         "pick, field, problem",
@@ -516,21 +518,31 @@ class TestVerify:
         ],
         ids=["tree-r-branch", "tree-total", "path-fringe", "path-total", "rdeg"],
     )
-    def test_bounds_check_catches_a_corrupted_range(self, pick, field, problem):
+    def test_bounds_check_catches_a_corrupted_range(
+        self, pick, field, problem, monkeypatch
+    ):
         trees, paths = verify._oracle_stats(5, 5)
-        assert verify._verify_bounds(trees, paths, 1) is None
+        assert list(verify._verify_bounds(trees, paths, 1)) == []
         acc = pick(trees, paths)
         setattr(acc, field, getattr(acc, field) + 1)
-        assert verify._verify_bounds(trees, paths, 1) == problem
+        assert next(verify._verify_bounds(trees, paths, 1), None) == problem
+        # a second corrupted range, checked before every other: the group
+        # yields both in order, and verify reports the first alone
+        trees[1].per_r[0].min += 1
+        first = "branch bounds not sharp at n=1, r=0"
+        assert list(verify._verify_bounds(trees, paths, 1)) == [first, problem]
+        monkeypatch.setattr(verify, "_oracle_stats", lambda *_: (trees, paths))
+        report, failed = verify.run(False, 0)
+        assert failed and f"bounds-and-sharpness: FAIL ({first})\n" in report
 
     def test_extremal_check_memory(self):
         tracemalloc.start()
         try:
-            problem = verify._verify_bounds({}, {}, 4096)
+            problems = list(verify._verify_bounds({}, {}, 4096))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert problem is None
+        assert problems == []
         assert peak < 16 * 2**20
 
     def test_quick_deterministic_across_threads(self, capsys):
