@@ -35,7 +35,6 @@ _LAZY = {
             "register",
             "branch_counts",
             "almost_complete",
-            "chain_tree",
         ),
         "trees",
     ),

@@ -18,9 +18,6 @@ from .special import EULER_GAMMA, digamma_c, gamma_c, zeta_c
 __all__ = [
     "FluctuationSpec",
     "AsymptoticValue",
-    "map_z",
-    "map_u",
-    "map_sigma",
     "fluctuation",
     "asy_r_branch_mean",
     "asy_r_branch_var",
@@ -41,30 +38,6 @@ _SQRT_PI = math.sqrt(math.pi)
 
 def chi(k):
     return 2j * math.pi * k / _LOG2
-
-
-# ---------------------------------------------------------------------------
-# holomorphic substitution maps
-
-def map_z(u):
-    """Z(u) = u/(1+u)^2, the tree-size substitution."""
-    if u == -1:
-        raise DomainError("Z has a pole at u = -1")
-    return u / (1 + u) ** 2
-
-
-def map_u(z):
-    """U(z), inverse of Z on the slit domain; U(0) = 0 by continuity."""
-    if z == 0:
-        return 0.0 + 0.0j
-    return (1 - cmath.sqrt(1 - 4 * z)) / (2 * z) - 1
-
-
-def map_sigma(z):
-    """sigma(z) = z^2/(1-2z)^2; satisfies sigma(Z(u)) = Z(u^2)."""
-    if z == 0.5:
-        raise DomainError("sigma has a pole at z = 1/2")
-    return (z / (1 - 2 * z)) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ Every command takes --out and --threads, and table also --format.
 nothing: the scans run on one thread.  The verify suite's groups are
 reached through redcalc.verify, not through this module.
 
+table's scalar quantities are one table, QUANTITIES, from which table
+takes its checks, its backends and its --check comparison, and over
+which verify's cross-validation loops.  --method oracle beyond the
+enumeration cap exits 5; table --check leaves the oracle out there.
+
 Every command runs in a fresh interpreter, so each request imports only
 the modules it uses beyond asym, which all of them load: tree loads trees,
 path loads paths, figure loads exact, table loads the backend its --method
@@ -152,96 +157,112 @@ def _poly_in_v(row):
     return " + ".join(terms)
 
 
-def _quantity_backends(quantity, n, r, cap_trees, cap_paths):
-    """One zero-argument function per applicable backend name, each
-    computing the exact value of one scalar quantity.
-
-    The domain is checked here, with the exact backend's messages, since
-    a request may compute only one backend.
-    """
-    if quantity == "r-branches-mean":
-        if n < 0 or r < 0:
-            raise DomainError("n and r must be nonnegative")
-        out = {
-            "exact": lambda: _exact().expected_r_branches(n, r),
-            "series": lambda: Fraction(
+# scalar quantities, each the exact mean of one statistic over the uniform
+# objects of size n: name -> takes_r (whether it takes --r), objects (the
+# key of _OBJECTS it averages over), backends (one f(n, r) per exact
+# backend besides the oracle), read (the oracle's mean, read off a scan's
+# TreeStats or PathStats as f(stats, r)) and asymptotic (f(n, r, terms))
+QUANTITIES = {
+    "r-branches-mean": dict(
+        takes_r=True,
+        objects="trees",
+        backends=dict(
+            exact=lambda n, r: _exact().expected_r_branches(n, r),
+            series=lambda n, r: Fraction(
                 _series().f1_series(r, max(n, 1))[n], _series().catalan(n)
             ),
-        }
-        if n <= cap_trees:
-            out["oracle"] = lambda: _oracle().tree_stats(
-                n, r_max=r, cap=cap_trees
-            ).per_r[r].mean()
-    elif quantity == "branches-total-mean":
-        if n < 0:
-            raise DomainError("n must be nonnegative")
-        out = {
-            "exact": lambda: _exact().expected_total_branches(n),
-            "series": lambda: Fraction(
+        ),
+        read=lambda st, r: st.per_r[r].mean(),
+        asymptotic=lambda n, r, terms: asym.asy_r_branch_mean(n, r).value,
+    ),
+    "branches-total-mean": dict(
+        takes_r=False,
+        objects="trees",
+        backends=dict(
+            exact=lambda n, r: _exact().expected_total_branches(n),
+            series=lambda n, r: Fraction(
                 _series().branch_total_series(max(n, 1))[n], _series().catalan(n)
             ),
-        }
-        if n <= cap_trees:
-            out["oracle"] = lambda: _oracle().tree_stats(
-                n, cap=cap_trees
-            ).total.mean()
-    elif quantity == "rdeg-mean":
-        if n < 1:
-            raise DomainError("need n >= 1")
-        out = {"exact": lambda: _exact().expected_rdeg(n)}
-        if n <= cap_paths:
-            out["oracle"] = lambda: _oracle().path_stats(
-                n, cap=cap_paths
-            ).rdeg.mean()
-    elif quantity == "fringe-mean":
-        if n < 1 or r < 0:
-            raise DomainError("need n >= 1 and r >= 0")
-        out = {
-            "exact": lambda: _exact().expected_fringe(n, r),
-            "series": lambda: Fraction(
+        ),
+        read=lambda st, r: st.total.mean(),
+        asymptotic=lambda n, r, terms: asym.asy_total_branches_mean(n, terms).value,
+    ),
+    "rdeg-mean": dict(
+        takes_r=False,
+        objects="paths",
+        backends=dict(exact=lambda n, r: _exact().expected_rdeg(n)),
+        read=lambda st, r: st.rdeg.mean(),
+        asymptotic=lambda n, r, terms: asym.asy_rdeg(n, terms, "mean").value,
+    ),
+    "fringe-mean": dict(
+        takes_r=True,
+        objects="paths",
+        backends=dict(
+            exact=lambda n, r: _exact().expected_fringe(n, r),
+            series=lambda n, r: Fraction(
                 _series().fringe_moment_series(r, max(n, 1))[n], 4**n
             ),
+        ),
+        read=lambda st, r: st.per_r[r].mean(),
+        asymptotic=lambda n, r, terms: asym.asy_fringe(n, r, "mean").value,
+    ),
+    "fringe-total-mean": dict(
+        takes_r=False,
+        objects="paths",
+        backends=dict(exact=lambda n, r: _exact().expected_total_fringe(n)),
+        read=lambda st, r: st.total.mean(),
+        asymptotic=lambda n, r, terms: asym.asy_total_fringe_mean(n, terms).value,
+    ),
+}
+
+# the objects of size n: the smallest n, the domain errors without and with
+# --r (the exact backend's), and the oracle's scan f(n, r_max, cap)
+_OBJECTS = {
+    "trees": dict(
+        n_min=0,
+        domain=("n must be nonnegative", "n and r must be nonnegative"),
+        scan=lambda n, r, cap: _oracle().tree_stats(n, r_max=r, cap=cap),
+    ),
+    "paths": dict(
+        n_min=1,
+        domain=("need n >= 1", "need n >= 1 and r >= 0"),
+        scan=lambda n, r, cap: _oracle().path_stats(n, r_max=r, cap=cap),
+    ),
+}
+
+
+def _computed(args, backends, what):
+    """The value of the --method backend, one of backends (name -> a
+    zero-argument function); with --check also every other backend's,
+    which must equal it."""
+    if args.method not in backends:
+        raise DomainError(
+            f"backend {args.method!r} not applicable (have {sorted(backends)})"
+        )
+    value = backends[args.method]()
+    if args.check:
+        values = {
+            name: value if name == args.method else compute()
+            for name, compute in backends.items()
         }
-        if n <= cap_paths:
-            out["oracle"] = lambda: _oracle().path_stats(
-                n, r_max=r, cap=cap_paths
-            ).per_r[r].mean()
-    elif quantity == "fringe-total-mean":
-        if n < 1:
-            raise DomainError("need n >= 1")
-        out = {"exact": lambda: _exact().expected_total_fringe(n)}
-        if n <= cap_paths:
-            out["oracle"] = lambda: _oracle().path_stats(
-                n, cap=cap_paths
-            ).total.mean()
-    else:
-        raise RedcalcError(f"unknown quantity {quantity!r}")
-    return out
-
-
-def _asymptotic_value(quantity, n, r, terms):
-    if quantity == "r-branches-mean":
-        return asym.asy_r_branch_mean(n, r).value
-    if quantity == "branches-total-mean":
-        return asym.asy_total_branches_mean(n, terms).value
-    if quantity == "rdeg-mean":
-        return asym.asy_rdeg(n, terms, "mean").value
-    if quantity == "fringe-mean":
-        return asym.asy_fringe(n, r, "mean").value
-    if quantity == "fringe-total-mean":
-        return asym.asy_total_fringe_mean(n, terms).value
-    raise RedcalcError(f"no asymptotic backend for {quantity!r}")
-
-
-# quantities that take --r; every quantity except series-coefficients takes --n
-_NEEDS_R = ("r-branches-mean", "fringe-mean")
+        if any(v != value for v in values.values()):
+            raise MismatchError(
+                f"backend mismatch for {what}: "
+                + ", ".join(f"{k}={v}" for k, v in values.items())
+            )
+    return value
 
 
 def cmd_table(args):
-    if args.quantity != "series-coefficients" and args.n is None:
-        raise DomainError(f"table {args.quantity} needs --n")
-    if args.quantity in _NEEDS_R and args.r is None:
-        raise DomainError(f"table {args.quantity} needs --r")
+    spec = QUANTITIES.get(args.quantity)
+    takes_r = spec is not None and spec["takes_r"]
+    if args.quantity != "series-coefficients":
+        if args.n is None:
+            raise DomainError(f"table {args.quantity} needs --n")
+        if takes_r and args.r is None:
+            raise DomainError(f"table {args.quantity} needs --r")
+        if args.r is not None and not takes_r:
+            raise DomainError(f"table {args.quantity} takes no --r")
     if args.order < 0:
         raise DomainError(f"--order must be nonnegative, got {args.order}")
     if args.quantity == "series-coefficients":
@@ -267,51 +288,44 @@ def cmd_table(args):
             _emit(args, ", ".join(str(f[n]) for n in range(order + 1)) + "\n")
         return 0
 
+    n, r = args.n, args.r
     if args.quantity == "rdeg-dist":
-        from .exact import count_paths_rdeg
-
-        n = args.n
-        rows = []
-        for r in range(max(n.bit_length() - 1, 1) + 1):
-            c = count_paths_rdeg(n, r)
-            if c:
-                rows.append((r, c))
-        if args.check and n <= args.cap_paths:
-            st = _oracle().path_stats(n, cap=args.cap_paths)
-            if dict(rows) != st.rdeg_hist:
-                raise MismatchError(
-                    f"rdeg distribution mismatch at n={n}: "
-                    f"closed form {dict(rows)} vs oracle {st.rdeg_hist}"
-                )
+        backends = {
+            "exact": lambda: {
+                r: c
+                for r in range(max(n.bit_length() - 1, 1) + 1)
+                if (c := _exact().count_paths_rdeg(n, r))
+            }
+        }
+        if n <= args.cap_paths or args.method == "oracle":
+            backends["oracle"] = lambda: _oracle().path_stats(
+                n, cap=args.cap_paths
+            ).rdeg_hist
+        rows = _computed(args, backends, f"rdeg-dist at n={n}")
         if args.format == "csv":
             lines = ["quantity,n,r,numerator,denominator,value"]
-            for r, c in rows:
+            for r, c in rows.items():
                 lines.append(f"rdeg-dist,{n},{r},{c},{4**n},{c / 4**n!r}")
         else:
-            lines = [f"r={r}: {c}/{4**n}" for r, c in rows]
+            lines = [f"r={r}: {c}/{4**n}" for r, c in rows.items()]
         _emit(args, "\n".join(lines) + "\n")
         return 0
 
-    n, r = args.n, args.r
     if args.method == "asymptotic":
-        value = _asymptotic_value(args.quantity, n, r, args.terms)
-        _emit(args, f"{value!r}\n")
+        _emit(args, f"{spec['asymptotic'](n, r, args.terms)!r}\n")
         return 0
-    backends = _quantity_backends(
-        args.quantity, n, r, args.cap_trees, args.cap_paths
-    )
-    if args.check:
-        values = {name: compute() for name, compute in backends.items()}
-        if len(set(values.values())) > 1:
-            raise MismatchError(
-                f"backend mismatch for {args.quantity} at n={n}, r={r}: "
-                + ", ".join(f"{k}={v}" for k, v in values.items())
-            )
-    if args.method not in backends:
-        raise DomainError(
-            f"backend {args.method!r} not applicable (have {sorted(backends)})"
-        )
-    q = values[args.method] if args.check else backends[args.method]()
+    objects = _OBJECTS[spec["objects"]]
+    if n < objects["n_min"] or (takes_r and r < 0):
+        raise DomainError(objects["domain"][takes_r])
+    backends = {
+        name: functools.partial(compute, n, r)
+        for name, compute in spec["backends"].items()
+    }
+    # --check skips the oracle beyond its cap; --method oracle hits the cap
+    cap = args.cap_trees if spec["objects"] == "trees" else args.cap_paths
+    if n <= cap or args.method == "oracle":
+        backends["oracle"] = lambda: spec["read"](objects["scan"](n, r, cap), r)
+    q = _computed(args, backends, f"{args.quantity} at n={n}, r={r}")
     if args.format == "csv":
         lines = ["quantity,n,r,numerator,denominator,value"]
         lines.append(
@@ -329,13 +343,17 @@ def cmd_table(args):
 
 _FIGURES = {
     "branches-fluctuation": dict(
-        exact=lambda n: _exact().expected_total_branches(n),
+        exact=lambda n: QUANTITIES["branches-total-mean"]["backends"]["exact"](
+            n, None
+        ),
         family="branches-total",
         smooth=asym.asy_total_branches_smooth,
         default_range=(2.0, 5.0),
     ),
     "fringe-fluctuation": dict(
-        exact=lambda n: _exact().expected_total_fringe(n),
+        exact=lambda n: QUANTITIES["fringe-total-mean"]["backends"]["exact"](
+            n, None
+        ),
         family="fringe-total",
         smooth=asym.asy_total_fringe_smooth,
         default_range=(1.0, 4.0),
@@ -436,18 +454,11 @@ def build_parser():
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("table", help="tabulate exact or asymptotic quantities")
-    p.add_argument(
-        "quantity",
-        choices=(
-            "r-branches-mean",
-            "branches-total-mean",
-            "rdeg-dist",
-            "rdeg-mean",
-            "fringe-mean",
-            "fringe-total-mean",
-            "series-coefficients",
-        ),
-    )
+    # the scalar quantities with rdeg-dist before rdeg-mean, then
+    # series-coefficients
+    quantities = [*QUANTITIES, "series-coefficients"]
+    quantities.insert(quantities.index("rdeg-mean"), "rdeg-dist")
+    p.add_argument("quantity", choices=quantities)
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--order", type=int, default=9)

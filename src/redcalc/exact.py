@@ -21,7 +21,6 @@ __all__ = [
     "expected_r_branches",
     "expected_total_branches",
     "count_paths_rdeg",
-    "prob_rdeg",
     "expected_rdeg",
     "expected_fringe",
     "expected_total_fringe",
@@ -98,11 +97,6 @@ def count_paths_rdeg(n, r):
         lam = k >> r
         acc += lam * (-1) ** (lam - 1) * delta
     return 4 ** (r + 1) * acc
-
-
-def prob_rdeg(n, r):
-    """P(reduction degree of a uniform length-n path equals r)."""
-    return Fraction(count_paths_rdeg(n, r), 4**n)
 
 
 def expected_rdeg(n):

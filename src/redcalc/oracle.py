@@ -22,9 +22,8 @@ PATH_CAP live in ``errors`` and are re-exported here.
 import hashlib
 import itertools
 import math
-import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -40,16 +39,12 @@ __all__ = [
     "StatAccumulator",
     "SeededGenerator",
     "enumerate_trees",
-    "enumerate_paths",
     "tree_stats",
     "path_stats",
-    "sample_tree",
-    "sample_path",
     "sample_cherry_counts",
     "sample_fringe_sizes",
     "extremal_failure",
     "clt_check",
-    "chi_square_uniformity",
 ]
 
 @dataclass
@@ -117,9 +112,6 @@ class SeededGenerator:
         digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
         return SeededGenerator(int.from_bytes(digest[:8], "big"))
 
-    def python_rng(self):
-        return random.Random(self.seed)
-
     def numpy_rng(self):
         return np.random.default_rng(self.seed)
 
@@ -138,16 +130,6 @@ def enumerate_trees(n, cap=TREE_CAP):
         for left in enumerate_trees(i, cap=cap):
             for right in enumerate_trees(n - 1 - i, cap=cap):
                 yield Node(left, right)
-
-
-def enumerate_paths(n, cap=PATH_CAP):
-    """All 4^n paths of length n in base-4 counter order over U,R,D,L."""
-    if n < 1:
-        raise DomainError("paths are nonempty")
-    if n > cap:
-        raise ResourceCapError(f"path enumeration capped at n = {cap}")
-    for steps in itertools.product(STEPS, repeat=n):
-        yield "".join(steps)
 
 
 @dataclass
@@ -370,9 +352,9 @@ def _fringe_table(codes, lens, depth):
 
 
 def _path_codes(n, first, count):
-    """Step codes of the length-n paths first .. first + count - 1 of
-    enumerate_paths order: path i has the base-4 digits of i, first step
-    most significant."""
+    """Step codes of the length-n paths first .. first + count - 1 in
+    counter order: path i has the base-4 digits of i over STEPS, first
+    step most significant."""
     index = np.arange(first, first + count)
     shifts = np.arange(2 * n - 2, -1, -2)
     return ((index[:, None] >> shifts) & 3).astype(np.uint8)
@@ -438,8 +420,8 @@ def extremal_failure(n_max):
 def path_stats(n, r_max=None, cap=PATH_CAP):
     """Exact reduction-degree and fringe statistics over all length-n paths.
 
-    Every path is one row of an exhaustive numpy scan in enumerate_paths
-    order, reduced block by block.
+    Every path is one row of an exhaustive numpy scan in the counter order
+    of _path_codes, reduced block by block.
     """
     if n < 1:
         raise DomainError("paths are nonempty")
@@ -487,57 +469,6 @@ def path_stats(n, r_max=None, cap=PATH_CAP):
 
 # ---------------------------------------------------------------------------
 # uniform samplers
-
-def sample_tree(n, gen):
-    """Uniform tree of size n by leaf insertion (Remy's construction)."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    return _sample_tree_rng(n, gen.python_rng())
-
-
-def _sample_tree_rng(n, rng):
-    # node ids: 0 is the initial leaf; step k adds internal 2k+1, leaf 2k+2
-    children = {}
-    parent = {0: (None, None)}
-    root = 0
-    for k in range(n):
-        m = 2 * k + 1
-        v = rng.randrange(m)
-        b = rng.getrandbits(1)
-        u, w = m, m + 1
-        children[u] = (w, v) if b else (v, w)
-        p, side = parent[v]
-        parent[u] = (p, side)
-        parent[v] = (u, b)
-        parent[w] = (u, b ^ 1)
-        if p is None:
-            root = u
-        else:
-            left, right = children[p]
-            children[p] = (u, right) if side == 0 else (left, u)
-    # convert the id structure into Node/LEAF form, iteratively
-    built = {}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if v not in children:
-            built[v] = LEAF
-            continue
-        left, right = children[v]
-        if left in built and right in built:
-            built[v] = Node(built[left], built[right])
-        else:
-            stack.extend((v, left, right))
-    return built[root]
-
-
-def sample_path(n, gen):
-    """Uniform path of length n (independent uniform steps)."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    rng = gen.python_rng()
-    return "".join(rng.choice(STEPS) for _ in range(n))
-
 
 # samples per split of the generator; every sample stream depends on it
 _SAMPLE_BATCH = 5000
@@ -640,19 +571,3 @@ def clt_check(n, r, samples, gen, kind="tree"):
         raise DomainError(f"unknown kind {kind!r}")
     return ks_vs_normal(values, mean, math.sqrt(var))
 
-
-def chi_square_uniformity(n, samples, gen):
-    """Chi-square statistic of sample_tree against the uniform distribution
-    over all trees of size n, plus the degrees of freedom."""
-    from .trees import format_tree
-
-    expected = {}
-    for t in enumerate_trees(n):
-        expected[format_tree(t)] = 0
-    rng = gen.python_rng()
-    for _ in range(samples):
-        expected[format_tree(_sample_tree_rng(n, rng))] += 1
-    classes = len(expected)
-    mean = samples / classes
-    stat = sum((c - mean) ** 2 / mean for c in expected.values())
-    return stat, classes - 1

@@ -14,7 +14,6 @@ from .errors import DomainError, ParseError
 __all__ = [
     "STEPS",
     "parse_path",
-    "rotate_cw",
     "reduce_path",
     "rdeg",
     "fringe",
@@ -45,11 +44,6 @@ def parse_path(text):
         if c not in STEPS:
             raise ParseError(f"unexpected character {c!r}", i)
     return text
-
-
-def rotate_cw(p):
-    """Rotate every step clockwise: U->R->D->L->U."""
-    return p.translate(_CW)
 
 
 def reduce_path(p):

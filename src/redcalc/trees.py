@@ -10,8 +10,6 @@ can be compared byte for byte.
 
 from dataclasses import dataclass
 
-import random
-
 from .errors import DomainError, ParseError
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "branch_counts",
     "cherry_count",
     "almost_complete",
-    "chain_tree",
 ]
 
 
@@ -283,13 +280,3 @@ def almost_complete(m):
     left = min(half, m - half // 2)
     return Node(almost_complete(left), almost_complete(m - left))
 
-
-def chain_tree(n, seed=0):
-    """A chain of n internal nodes; left/right attachment drawn from seed."""
-    if n < 1:
-        raise DomainError("a chain needs at least one internal node")
-    rng = random.Random(seed)
-    t = Node(LEAF, LEAF)
-    for _ in range(n - 1):
-        t = Node(t, LEAF) if rng.getrandbits(1) else Node(LEAF, t)
-    return t

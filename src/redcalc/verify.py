@@ -7,6 +7,12 @@ a generator that yields a one-line description of every check that
 fails, in a fixed order.  ``run`` reports the first failure of each group
 and goes no further in it; the acceptance gate lists them all.
 
+The cross-validation and the residual groups take the scalar quantities
+from ``cli.QUANTITIES``, the table the ``table`` command computes from;
+only the checks of what is no such quantity (second moments, the two
+histograms, the reduction-degree counts, the bivariate series) are
+written out here.
+
 Of the CLI's requests only ``verify`` imports this module, so no other
 request compiles it; it loads every backend, the oracle and with it
 numpy.  The acceptance tests call the groups here directly.
@@ -15,6 +21,7 @@ numpy.  The acceptance tests call the groups here directly.
 import math
 
 from . import asym, exact, oracle, series
+from .cli import QUANTITIES
 from .trees import almost_complete, format_tree, reduce_tree
 
 
@@ -57,19 +64,23 @@ def _oracle_stats(tree_max, path_max):
 
 
 def _verify_three_way(trees, paths):
+    # every exact backend of every scalar quantity in the table command
+    # against the oracle's value, read off the shared scans; each mean has
+    # the fixed denominator Cat(n) or 4^n, so this also compares the sums
+    scans = {"trees": trees, "paths": paths}
+    for quantity, spec in QUANTITIES.items():
+        for n, st in scans[spec["objects"]].items():
+            for r in range(len(st.per_r)) if spec["takes_r"] else (None,):
+                want = spec["read"](st, r)
+                at = f"n={n}" if r is None else f"n={n}, r={r}"
+                for backend, compute in spec["backends"].items():
+                    if compute(n, r) != want:
+                        yield f"{quantity} {backend} mismatch at {at}"
     for n, st in trees.items():
         order = max(n, 1)
         for r, acc in enumerate(st.per_r):
-            if acc.total != series.f1_series(r, order)[n]:
-                yield f"tree first moment mismatch at n={n}, r={r}"
             if acc.factorial_moment_sum() != series.f2_series(r, order)[n]:
                 yield f"tree second moment mismatch at n={n}, r={r}"
-            if acc.mean() != exact.expected_r_branches(n, r):
-                yield f"tree closed form mismatch at n={n}, r={r}"
-        if st.total.total != series.branch_total_series(order)[n]:
-            yield f"branch total series mismatch at n={n}"
-        if st.total.mean() != exact.expected_total_branches(n):
-            yield f"branch total closed form mismatch at n={n}"
         for r, count in st.register_hist.items():
             if series.b_r_equal_series(r, order)[n] != count:
                 yield f"register histogram mismatch at n={n}, r={r}"
@@ -80,18 +91,10 @@ def _verify_three_way(trees, paths):
                 yield f"rdeg count mismatch at n={n}, r={r}"
             if series.l_r_equal_series(r, order)[n] != count:
                 yield f"rdeg series mismatch at n={n}, r={r}"
-        if st.rdeg.mean() != exact.expected_rdeg(n):
-            yield f"rdeg mean mismatch at n={n}"
         for r, acc in enumerate(st.per_r):
-            if acc.total != series.fringe_moment_series(r, order)[n]:
-                yield f"fringe moment series mismatch at n={n}, r={r}"
-            if acc.mean() != exact.expected_fringe(n, r):
-                yield f"fringe closed form mismatch at n={n}, r={r}"
             hrow = series.h_r_bivariate(r, order).eval_moment("first")[n]
             if acc.total != hrow:
                 yield f"bivariate fringe series mismatch at n={n}, r={r}"
-        if st.total.mean() != exact.expected_total_fringe(n):
-            yield f"total fringe closed form mismatch at n={n}"
 
 
 def _sharp_bounds(kind, n, m, st):
@@ -126,25 +129,24 @@ def _verify_bounds(trees, paths, extremal_max):
         yield f"extremal path fails at n={n}"
 
 
+def _residual(quantity, n, r=None):
+    """|asymptotic - exact| of a table quantity, with 20 Fourier summands."""
+    spec = QUANTITIES[quantity]
+    return abs(spec["asymptotic"](n, r, 20) - float(spec["backends"]["exact"](n, r)))
+
+
 def _verify_residuals():
     for r in (1, 2, 3):
-        diff = abs(
-            asym.asy_r_branch_mean(100, r).value
-            - float(exact.expected_r_branches(100, r))
-        )
+        diff = _residual("r-branches-mean", 100, r)
         if diff > 1e-3:
             yield f"r-branch mean residual {diff:.2e} at n=100, r={r}"
     for n in (256, 1024, 4096):
-        checks = (
-            ("branch total", asym.asy_total_branches_mean(n).value,
-             exact.expected_total_branches(n)),
-            ("rdeg mean", asym.asy_rdeg(n, which="mean").value,
-             exact.expected_rdeg(n)),
-            ("fringe total", asym.asy_total_fringe_mean(n).value,
-             exact.expected_total_fringe(n)),
-        )
-        for name, got, want in checks:
-            diff = abs(got - float(want))
+        for name, quantity in (
+            ("branch total", "branches-total-mean"),
+            ("rdeg mean", "rdeg-mean"),
+            ("fringe total", "fringe-total-mean"),
+        ):
+            diff = _residual(quantity, n)
             if diff > 0.01:
                 yield f"{name} residual {diff:.2e} at n={n}"
     for n in range(2, 65):

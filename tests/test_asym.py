@@ -13,27 +13,17 @@ FAMILIES = ("branches-total", "rdeg-mean", "rdeg-var", "fringe-total")
 
 
 class TestSubstitutionMaps:
-    def test_fixed_points(self):
-        assert asym.map_z(0) == 0
-        assert asym.map_u(0) == 0
-
-    def test_inverse_pair(self):
-        for z in (0.1, 0.2, 0.05 + 0.1j, -0.15):
-            u = asym.map_u(z)
-            assert abs(asym.map_z(u) - z) < 1e-12
-
     def test_sigma_commutes_with_squaring(self):
-        for k in range(8):
-            u = 0.8 * cmath.exp(2j * math.pi * k / 8)
-            lhs = asym.map_sigma(asym.map_z(u))
-            rhs = asym.map_z(u * u)
-            assert abs(lhs - rhs) < 1e-12
-
-    def test_excluded_points(self):
-        with pytest.raises(DomainError):
-            asym.map_z(-1)
-        with pytest.raises(DomainError):
-            asym.map_sigma(0.5)
+        # sigma(Z(u)) = Z(u^2) for the tree-size substitution
+        # Z(u) = u/(1+u)^2 = sum_k (-1)^(k-1) k u^k, in exact series
+        order = 24
+        z_u = series.TruncatedSeries.from_terms(
+            order, {k: (-1) ** (k - 1) * k for k in range(1, order + 1)}
+        )
+        z_u2 = series.TruncatedSeries.from_terms(
+            order, {2 * k: (-1) ** (k - 1) * k for k in range(1, order // 2 + 1)}
+        )
+        assert series.sigma_series(order).compose(z_u) == z_u2
 
 
 class TestFluctuations:
@@ -211,7 +201,8 @@ class TestRdegExpansions:
         for n in (512, 1024):
             m1 = exact.expected_rdeg(n)
             m2 = sum(
-                r * r * exact.prob_rdeg(n, r) for r in range(n.bit_length())
+                Fraction(r * r * exact.count_paths_rdeg(n, r), 4**n)
+                for r in range(n.bit_length())
             )
             want = float(m2 - m1 * m1)
             got = asym.asy_rdeg(n, 20, "variance").value

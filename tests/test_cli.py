@@ -339,8 +339,46 @@ class TestTable:
             capsys, "table", "rdeg-mean",
             "--n", "9", "--method", "oracle", "--cap-paths", "8",
         )
-        assert code == 3
-        assert err == "redcalc: backend 'oracle' not applicable (have ['exact'])\n"
+        assert code == 5
+        assert err == "redcalc: path enumeration capped at n = 8\n"
+
+    @pytest.mark.parametrize("check", [(), ("--check",)])
+    def test_oracle_beyond_cap_is_a_resource_cap(self, capsys, check):
+        argv = ["table", "r-branches-mean", "--n", "20", "--r", "1", *check]
+        assert run(capsys, *argv, "--method", "oracle") == (
+            5, "", "redcalc: tree enumeration capped at n = 15\n"
+        )
+        # --check with another method skips the oracle beyond its cap
+        assert run(capsys, *argv)[:2] == (0, "70/13 (5.384615385)\n")
+
+    @pytest.mark.parametrize("method", ["series", "asymptotic"])
+    def test_rdeg_dist_has_no_series_or_asymptotic_backend(self, capsys, method):
+        argv = ("table", "rdeg-dist", "--n", "4", "--method", method)
+        assert run(capsys, *argv) == (
+            3, "", f"redcalc: backend '{method}' not applicable"
+            " (have ['exact', 'oracle'])\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["human", "csv"])
+    def test_rdeg_dist_oracle_method(self, capsys, fmt):
+        argv = ("table", "rdeg-dist", "--n", "6", "--format", fmt)
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        assert run(capsys, *argv, "--method", "oracle") == want
+        assert run(capsys, *argv, "--method", "oracle", "--check") == want
+        assert run(capsys, *argv, "--method", "oracle", "--cap-paths", "5") == (
+            5, "", "redcalc: path enumeration capped at n = 5\n"
+        )
+
+    @pytest.mark.parametrize(
+        "quantity",
+        ["branches-total-mean", "rdeg-mean", "fringe-total-mean", "rdeg-dist"],
+    )
+    def test_r_for_a_quantity_without_r_is_domain_error(self, capsys, quantity):
+        argv = ("table", quantity, "--n", "4", "--r", "1")
+        assert run(capsys, *argv) == (
+            3, "", f"redcalc: table {quantity} takes no --r\n"
+        )
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         def broken(n):
@@ -351,6 +389,43 @@ class TestTable:
         assert (code, out) == (6, "")
         assert err.startswith("redcalc: internal error: ZeroDivisionError(")
         assert "Traceback (most recent call last)" in err
+
+
+class TestQuantityTable:
+    @pytest.mark.parametrize("quantity", list(cli.QUANTITIES))
+    def test_every_method_prints_the_checked_value(self, capsys, quantity):
+        spec = cli.QUANTITIES[quantity]
+        sizes = range(8) if spec["objects"] == "trees" else range(1, 7)
+        for n in sizes:
+            for r in range(4) if spec["takes_r"] else (None,):
+                argv = ["table", quantity, "--n", str(n)]
+                if r is not None:
+                    argv += ["--r", str(r)]
+                code, want, err = run(capsys, *argv, "--check")
+                assert (code, err) == (0, "")
+                for method in ("exact", "series", "oracle"):
+                    got = run(capsys, *argv, "--method", method)
+                    if method in spec["backends"] or method == "oracle":
+                        assert got == (0, want, "")
+                    else:
+                        assert got[:2] == (3, "")
+
+    def test_parser_choices_are_the_table_in_help_order(self):
+        parser = cli.build_parser()
+        table = parser._subparsers._group_actions[0].choices["table"]
+        (quantity,) = [a for a in table._actions if a.dest == "quantity"]
+        assert list(quantity.choices) == [
+            "r-branches-mean",
+            "branches-total-mean",
+            "rdeg-dist",
+            "rdeg-mean",
+            "fringe-mean",
+            "fringe-total-mean",
+            "series-coefficients",
+        ]
+        assert sorted(quantity.choices) == sorted(
+            [*cli.QUANTITIES, "rdeg-dist", "series-coefficients"]
+        )
 
 
 class TestFigure:
@@ -483,6 +558,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--quick", "--threads", "1")
         assert calls == {"tree_stats": list(range(9)), "path_stats": list(range(1, 8))}
         assert code == 1 and out.count("PASS") == 4
+
+    @pytest.mark.parametrize(
+        "quantity, backend",
+        [(q, b) for q, spec in cli.QUANTITIES.items() for b in spec["backends"]],
+    )
+    def test_three_way_names_a_wrong_backend(self, quantity, backend, monkeypatch):
+        trees, paths = verify._oracle_stats(4, 4)
+        assert list(verify._verify_three_way(trees, paths)) == []
+        backends = cli.QUANTITIES[quantity]["backends"]
+        right = backends[backend]
+        monkeypatch.setitem(
+            backends, backend, lambda n, r: right(n, r) + (n == 3)
+        )
+        problems = list(verify._verify_three_way(trees, paths))
+        assert problems
+        assert all(
+            p.startswith(f"{quantity} {backend} mismatch at n=3") for p in problems
+        )
 
     def test_extremal_check_catches_corrupted_paths(self, monkeypatch):
         levels = oracle._extremal_levels

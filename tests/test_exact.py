@@ -77,13 +77,17 @@ class TestRdeg:
 
     def test_prob_normalization(self):
         for n in (3, 7, 10):
-            acc = sum(exact.prob_rdeg(n, r) for r in range(n.bit_length()))
+            acc = sum(
+                Fraction(exact.count_paths_rdeg(n, r), 4**n)
+                for r in range(n.bit_length())
+            )
             assert acc == 1
 
     def test_mean_from_distribution(self):
         for n in range(1, 13):
             want = sum(
-                r * exact.prob_rdeg(n, r) for r in range(n.bit_length())
+                Fraction(r * exact.count_paths_rdeg(n, r), 4**n)
+                for r in range(n.bit_length())
             )
             assert exact.expected_rdeg(n) == want
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -12,15 +14,11 @@ from redcalc.errors import DomainError, ResourceCapError
 from redcalc.oracle import (
     SeededGenerator,
     StatAccumulator,
-    chi_square_uniformity,
     clt_check,
-    enumerate_paths,
     enumerate_trees,
     path_stats,
     sample_cherry_counts,
     sample_fringe_sizes,
-    sample_path,
-    sample_tree,
     tree_stats,
 )
 from redcalc.paths import STEPS, extremal_path, fringe_sizes, rdeg
@@ -32,6 +30,7 @@ from redcalc.trees import (
     register,
     tree_size,
 )
+from tree_generators import random_tree
 
 
 def reference_tree_stats(n, r_max=None):
@@ -51,15 +50,21 @@ def reference_tree_stats(n, r_max=None):
     return oracle.TreeStats(n, per_r, total, hist)
 
 
+def all_paths(n):
+    """All 4^n paths of length n in base-4 counter order over STEPS."""
+    for steps in itertools.product(STEPS, repeat=n):
+        yield "".join(steps)
+
+
 def reference_path_stats(n, r_max=None):
-    """Per-path scan over enumerate_paths, the string-level reference."""
+    """Per-path scan over all_paths, the string-level reference."""
     if r_max is None:
         r_max = max(n.bit_length() - 1, 1)
     hist = {}
     rdeg_acc = StatAccumulator()
     per_r = [StatAccumulator() for _ in range(r_max + 1)]
     total = StatAccumulator()
-    for p in enumerate_paths(n):
+    for p in all_paths(n):
         sizes = fringe_sizes(p)
         d = len(sizes) - 1
         hist[d] = hist.get(d, 0) + 1
@@ -121,15 +126,12 @@ class TestEnumeration:
         assert len(seen) == 132
 
     def test_path_counts(self):
-        assert sum(1 for _ in enumerate_paths(1)) == 4
-        assert sum(1 for _ in enumerate_paths(2)) == 16
-        assert sum(1 for _ in enumerate_paths(5)) == 1024
+        for n in (1, 2, 5):
+            assert path_stats(n).rdeg.count == 4**n
 
     def test_caps(self):
         with pytest.raises(ResourceCapError):
             list(enumerate_trees(oracle.TREE_CAP + 1))
-        with pytest.raises(ResourceCapError):
-            list(enumerate_paths(oracle.PATH_CAP + 1))
         with pytest.raises(ResourceCapError):
             tree_stats(oracle.TREE_CAP + 1)
         with pytest.raises(ResourceCapError):
@@ -138,8 +140,6 @@ class TestEnumeration:
     def test_domains(self):
         with pytest.raises(DomainError):
             list(enumerate_trees(-1))
-        with pytest.raises(DomainError):
-            list(enumerate_paths(0))
         with pytest.raises(DomainError):
             tree_stats(-1)
         with pytest.raises(DomainError):
@@ -268,7 +268,7 @@ _seeds = strategies.integers(min_value=0, max_value=2**64 - 1)
 
 
 def _random_tree(n, seed):
-    return LEAF if n == 0 else sample_tree(n, SeededGenerator(seed))
+    return LEAF if n == 0 else random_tree(n, random.Random(seed))
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,7 +323,7 @@ class TestPathScan:
     def test_codes_follow_enumeration_order(self):
         for n in range(1, 6):
             codes = oracle._path_codes(n, 0, 4**n)
-            assert (codes == _codes(list(enumerate_paths(n)))).all()
+            assert (codes == _codes(list(all_paths(n)))).all()
         block = oracle._path_codes(5, 300, 17)
         assert (block == oracle._path_codes(5, 0, 4**5)[300:317]).all()
 
@@ -334,7 +334,7 @@ class TestPathScan:
                 np.full(4**n, n, dtype=np.int16),
                 n.bit_length() - 1,
             )
-            for p, row in zip(enumerate_paths(n), table.tolist()):
+            for p, row in zip(all_paths(n), table.tolist()):
                 sizes = fringe_sizes(p)
                 assert row == sizes + [0] * (len(row) - len(sizes)), p
 
@@ -420,21 +420,14 @@ class TestGenerator:
 
 class TestSamplers:
     def test_smallest_tree(self):
-        assert format_tree(sample_tree(1, SeededGenerator(0))) == "(. .)"
+        assert format_tree(random_tree(1, random.Random(0))) == "(. .)"
 
     def test_sizes(self):
-        gen = SeededGenerator(7)
         for n in (1, 5, 40):
-            assert tree_size(sample_tree(n, gen.split(str(n)))) == n
-        assert len(sample_path(25, gen)) == 25
-        assert set(sample_path(200, gen)) <= set("URDL")
+            assert tree_size(random_tree(n, random.Random(n))) == n
 
     def test_domains(self):
         gen = SeededGenerator(0)
-        with pytest.raises(DomainError):
-            sample_tree(0, gen)
-        with pytest.raises(DomainError):
-            sample_path(0, gen)
         with pytest.raises(DomainError):
             sample_cherry_counts(0, 5, gen)
         with pytest.raises(DomainError):
@@ -553,9 +546,21 @@ class TestDistributionChecks:
             clt_check(100, 1, 100, gen, kind="forest")
 
     def test_sampler_uniformity_chi_square(self):
-        stat, df = chi_square_uniformity(5, 50000, SeededGenerator(17))
+        stat, df = _uniformity_chi_square(5, 50000, 17)
         assert df == 41
         assert stat < _chi_square_bound(df)
+
+
+def _uniformity_chi_square(n, samples, seed):
+    """Chi-square statistic of random_tree against the uniform distribution
+    over all trees of size n, plus the degrees of freedom."""
+    rng = random.Random(seed)
+    counts = dict.fromkeys((format_tree(t) for t in enumerate_trees(n)), 0)
+    for _ in range(samples):
+        counts[format_tree(random_tree(n, rng))] += 1
+    mean = samples / len(counts)
+    stat = sum((c - mean) ** 2 / mean for c in counts.values())
+    return stat, len(counts) - 1
 
 
 def _chi_square_bound(df):

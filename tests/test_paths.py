@@ -12,7 +12,6 @@ from redcalc.paths import (
     parse_path,
     rdeg,
     reduce_path,
-    rotate_cw,
 )
 
 
@@ -34,9 +33,14 @@ class TestParse:
 
 class TestRotate:
     def test_cycle(self):
-        assert rotate_cw("URDL") == "RDLU"
+        # rotating every step clockwise, U->R->D->L->U, four times is the
+        # identity, and one rotation changes no fringe size
+        cw = str.maketrans("URDL", "RDLU")
         p = "RRUDL"
-        assert rotate_cw(rotate_cw(rotate_cw(rotate_cw(p)))) == p
+        assert p.translate(cw).translate(cw).translate(cw).translate(cw) == p
+        for n in range(1, 7):
+            for p in all_paths(n):
+                assert fringe_sizes(p.translate(cw)) == fringe_sizes(p)
 
 
 class TestReduce:

@@ -1,15 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies
 
 from redcalc.errors import DomainError, ParseError
-from redcalc.oracle import SeededGenerator, sample_tree
 from redcalc.trees import (
     LEAF,
     Node,
     almost_complete,
     branch_counts,
-    chain_tree,
     cherry_count,
     format_tree,
     parse_tree,
@@ -18,6 +18,7 @@ from redcalc.trees import (
     register_by_reduction,
     tree_size,
 )
+from tree_generators import chain_tree, random_tree
 
 
 def all_trees(n):
@@ -86,7 +87,7 @@ def test_roundtrip_deep_chain(n, seed):
 @settings(max_examples=30, deadline=None)
 @given(strategies.integers(min_value=1, max_value=2000), _seeds)
 def test_roundtrip_sampled(n, seed):
-    t = sample_tree(n, SeededGenerator(seed))
+    t = random_tree(n, random.Random(seed))
     assert parse_tree(format_tree(t)) == t
 
 
@@ -142,7 +143,7 @@ class TestRegister:
     strategies.integers(min_value=0, max_value=2**64 - 1),
 )
 def test_register_of_reduction_drops_by_one_random(n, seed):
-    t = sample_tree(n, SeededGenerator(seed))
+    t = random_tree(n, random.Random(seed))
     assert register(reduce_tree(t)) == register(t) - 1
 
 
@@ -216,5 +217,3 @@ class TestExtremalFamilies:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             almost_complete(0)
-        with pytest.raises(DomainError):
-            chain_tree(0)
