@@ -14,19 +14,21 @@ Every command takes --out and --threads, and table also --format.
 nothing: the scans run on one thread.  The verify suite's groups are
 reached through redcalc.verify, not through this module.
 
-table's scalar quantities are one table, QUANTITIES, from which table
-takes its checks, its backends and its --check comparison, and over
-which verify's cross-validation loops.  --method oracle beyond the
-enumeration cap exits 5; table --check leaves the oracle out there.
+table's --n quantities (the means and the reduction-degree distribution)
+are one table, QUANTITIES, from which table takes its checks, its
+backends and its --check comparison, and over which verify's
+cross-validation loops.  A backend beyond its size cap (the oracle's
+enumeration cap, SERIES_N_CAP for the series) exits 5 when --method
+names it; table --check leaves it out there.
 
 Every command runs in a fresh interpreter, so each request imports only
 the modules it uses beyond asym, which all of them load: tree loads trees,
 path loads paths, figure loads exact, table loads the backend its --method
-names (series for series-coefficients, exact for rdeg-dist, none for the
-asymptotic method), table --check every applicable backend, and verify
-the verify module and with it all of them.  Only the requests that
-enumerate or sample (table --method oracle, table --check, verify) import
-the oracle and with it numpy.
+names (series for series-coefficients, none for the asymptotic method),
+table --check every applicable backend, and verify the verify module and
+with it all of them.  Only the requests that enumerate or sample (table
+--method oracle, table --check, verify) import the oracle and with it
+numpy.
 
 The argument parser is built once per process and reused by every later
 call of main in it.
@@ -51,6 +53,10 @@ from .errors import (
 # largest n a figure grid may hold: exact.expected_total_branches takes
 # about 4 s at n = 4096 and grows about 6.5x per doubling of n
 FIGURE_N_CAP = 4096
+
+# largest n of a table quantity's series backend: branch_total_series
+# takes about 1.5 s at n = 128 and about 10x as long per doubling of n
+SERIES_N_CAP = 128
 
 EXIT_INTERNAL_ERROR = 6
 
@@ -129,7 +135,8 @@ def cmd_path(args):
 # ---------------------------------------------------------------------------
 # table
 
-# univariate series-coefficients families: name -> f(r, order)
+# series-coefficients families, in --family's order: name -> f(r, order);
+# H is bivariate and printed a row of v-coefficients per z-power
 _SERIES_FAMILIES = {
     "B": lambda r, order: _series().b_r_series(r, order),
     "Beq": lambda r, order: _series().b_r_equal_series(r, order),
@@ -137,6 +144,7 @@ _SERIES_FAMILIES = {
     "F2": lambda r, order: _series().f2_series(r, order),
     "L": lambda r, order: _series().l_r_series(r, order),
     "Leq": lambda r, order: _series().l_r_equal_series(r, order),
+    "H": lambda r, order: _series().h_r_bivariate(r, order),
     "sigma": lambda r, order: _series().sigma_iterate(r, order),
     "branch-total": lambda r, order: _series().branch_total_series(order),
 }
@@ -157,11 +165,12 @@ def _poly_in_v(row):
     return " + ".join(terms)
 
 
-# scalar quantities, each the exact mean of one statistic over the uniform
-# objects of size n: name -> takes_r (whether it takes --r), objects (the
-# key of _OBJECTS it averages over), backends (one f(n, r) per exact
-# backend besides the oracle), read (the oracle's mean, read off a scan's
-# TreeStats or PathStats as f(stats, r)) and asymptotic (f(n, r, terms))
+# the --n quantities, each the exact mean of one statistic over the uniform
+# objects of size n or, for rdeg-dist, its distribution (a dict of nonzero
+# counts): name -> takes_r (whether it takes --r), objects (the key of
+# _OBJECTS it averages over), backends (one f(n, r) per exact backend besides
+# the oracle), read (the oracle's value off a scan's TreeStats or PathStats,
+# f(stats, r)) and, for a mean, asymptotic (f(n, r, terms))
 QUANTITIES = {
     "r-branches-mean": dict(
         takes_r=True,
@@ -186,6 +195,18 @@ QUANTITIES = {
         ),
         read=lambda st, r: st.total.mean(),
         asymptotic=lambda n, r, terms: asym.asy_total_branches_mean(n, terms).value,
+    ),
+    "rdeg-dist": dict(
+        takes_r=False,
+        objects="paths",
+        backends=dict(
+            exact=lambda n, r: {
+                k: c
+                for k in range(max(n.bit_length() - 1, 1) + 1)
+                if (c := _exact().count_paths_rdeg(n, k))
+            }
+        ),
+        read=lambda st, r: st.rdeg_hist,
     ),
     "rdeg-mean": dict(
         takes_r=False,
@@ -216,16 +237,19 @@ QUANTITIES = {
 }
 
 # the objects of size n: the smallest n, the domain errors without and with
-# --r (the exact backend's), and the oracle's scan f(n, r_max, cap)
+# --r (the exact backend's), the option that holds the oracle's cap and
+# what its cap error names, and the oracle's scan f(n, r_max, cap)
 _OBJECTS = {
     "trees": dict(
         n_min=0,
         domain=("n must be nonnegative", "n and r must be nonnegative"),
+        cap=("cap_trees", "tree enumeration"),
         scan=lambda n, r, cap: _oracle().tree_stats(n, r_max=r, cap=cap),
     ),
     "paths": dict(
         n_min=1,
         domain=("need n >= 1", "need n >= 1 and r >= 0"),
+        cap=("cap_paths", "path enumeration"),
         scan=lambda n, r, cap: _oracle().path_stats(n, r_max=r, cap=cap),
     ),
 }
@@ -268,50 +292,24 @@ def cmd_table(args):
     if args.quantity == "series-coefficients":
         r = args.r if args.r is not None else 1
         order = args.order
-        if args.family == "H":
-            h = _series().h_r_bivariate(r, order)
-            if args.format == "csv":
-                lines = ["family,r,n,v_degree,coeff"]
-                for n in range(order + 1):
-                    row = h.row(n)
-                    lines += [f"H,{r},{n},{m},{row[m]}" for m in sorted(row)]
-            else:
-                lines = [f"[z^{n}] {_poly_in_v(h.row(n))}" for n in range(order + 1)]
-            _emit(args, "\n".join(lines) + "\n")
-            return 0
         f = _SERIES_FAMILIES[args.family](r, order)
-        if args.format == "csv":
+        if args.family == "H" and args.format == "csv":
+            lines = ["family,r,n,v_degree,coeff"]
+            for n in range(order + 1):
+                row = f.row(n)
+                lines += [f"H,{r},{n},{m},{row[m]}" for m in sorted(row)]
+        elif args.family == "H":
+            lines = [f"[z^{n}] {_poly_in_v(f.row(n))}" for n in range(order + 1)]
+        elif args.format == "csv":
             lines = ["family,r,n,coeff"]
             lines += [f"{args.family},{r},{n},{f[n]}" for n in range(order + 1)]
-            _emit(args, "\n".join(lines) + "\n")
         else:
-            _emit(args, ", ".join(str(f[n]) for n in range(order + 1)) + "\n")
-        return 0
-
-    n, r = args.n, args.r
-    if args.quantity == "rdeg-dist":
-        backends = {
-            "exact": lambda: {
-                r: c
-                for r in range(max(n.bit_length() - 1, 1) + 1)
-                if (c := _exact().count_paths_rdeg(n, r))
-            }
-        }
-        if n <= args.cap_paths or args.method == "oracle":
-            backends["oracle"] = lambda: _oracle().path_stats(
-                n, cap=args.cap_paths
-            ).rdeg_hist
-        rows = _computed(args, backends, f"rdeg-dist at n={n}")
-        if args.format == "csv":
-            lines = ["quantity,n,r,numerator,denominator,value"]
-            for r, c in rows.items():
-                lines.append(f"rdeg-dist,{n},{r},{c},{4**n},{c / 4**n!r}")
-        else:
-            lines = [f"r={r}: {c}/{4**n}" for r, c in rows.items()]
+            lines = [", ".join(str(f[n]) for n in range(order + 1))]
         _emit(args, "\n".join(lines) + "\n")
         return 0
 
-    if args.method == "asymptotic":
+    n, r = args.n, args.r
+    if args.method == "asymptotic" and "asymptotic" in spec:
         _emit(args, f"{spec['asymptotic'](n, r, args.terms)!r}\n")
         return 0
     objects = _OBJECTS[spec["objects"]]
@@ -321,20 +319,28 @@ def cmd_table(args):
         name: functools.partial(compute, n, r)
         for name, compute in spec["backends"].items()
     }
-    # --check skips the oracle beyond its cap; --method oracle hits the cap
-    cap = args.cap_trees if spec["objects"] == "trees" else args.cap_paths
-    if n <= cap or args.method == "oracle":
-        backends["oracle"] = lambda: spec["read"](objects["scan"](n, r, cap), r)
-    q = _computed(args, backends, f"{args.quantity} at n={n}, r={r}")
+    option, enumeration = objects["cap"]
+    cap = getattr(args, option)
+    backends["oracle"] = lambda: spec["read"](objects["scan"](n, r, cap), r)
+    # beyond its cap a backend exits 5 when --method names it, and --check
+    # leaves it out
+    caps = {"oracle": (cap, enumeration), "series": (SERIES_N_CAP, "series backend")}
+    for name, (limit, what) in caps.items():
+        if n > limit and name in backends:
+            if name == args.method:
+                raise ResourceCapError(f"{what} capped at n = {limit}")
+            del backends[name]
+    value = _computed(args, backends, f"{args.quantity} at n={n}, r={r}")
+    if isinstance(value, dict):  # a distribution: rows (r, count, 4^n)
+        rows = [(k, c, 4**n) for k, c in value.items()]
+        lines = [f"r={k}: {c}/{d}" for k, c, d in rows]
+    else:  # a mean: one row (r, numerator, denominator)
+        rows = [("" if r is None else r, value.numerator, value.denominator)]
+        lines = [_fmt_rational(value)]
     if args.format == "csv":
         lines = ["quantity,n,r,numerator,denominator,value"]
-        lines.append(
-            f"{args.quantity},{n},{'' if r is None else r},"
-            f"{q.numerator},{q.denominator},{float(q)!r}"
-        )
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _fmt_rational(q) + "\n")
+        lines += [f"{args.quantity},{n},{k},{a},{b},{a / b!r}" for k, a, b in rows]
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -454,20 +460,12 @@ def build_parser():
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("table", help="tabulate exact or asymptotic quantities")
-    # the scalar quantities with rdeg-dist before rdeg-mean, then
-    # series-coefficients
-    quantities = [*QUANTITIES, "series-coefficients"]
-    quantities.insert(quantities.index("rdeg-mean"), "rdeg-dist")
-    p.add_argument("quantity", choices=quantities)
+    p.add_argument("quantity", choices=[*QUANTITIES, "series-coefficients"])
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--order", type=int, default=9)
     p.add_argument("--terms", type=int, default=20, help="Fourier summands K")
-    p.add_argument(
-        "--family",
-        choices=("B", "Beq", "F1", "F2", "L", "Leq", "H", "sigma", "branch-total"),
-        default="B",
-    )
+    p.add_argument("--family", choices=tuple(_SERIES_FAMILIES), default="B")
     p.add_argument(
         "--method",
         choices=("exact", "series", "oracle", "asymptotic"),

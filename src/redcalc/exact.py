@@ -77,10 +77,11 @@ def expected_total_branches(n):
     """Mean of the total branch count over the uniform size-n trees."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    acc = Fraction(0)
+    acc = 0
     for k, delta in _tree_terms(n):
-        acc += (2 - Fraction(1, 1 << v2(k))) * k * delta
-    return Fraction(n + 1, math.comb(2 * n, n)) * acc
+        v = v2(k)  # (2 - 2^-v) k = (2^(v+1) - 1) (k >> v)
+        acc += ((2 << v) - 1) * (k >> v) * delta
+    return Fraction((n + 1) * acc, math.comb(2 * n, n))
 
 
 def count_paths_rdeg(n, r):
@@ -113,21 +114,20 @@ def expected_fringe(n, r):
         raise DomainError("need n >= 1 and r >= 0")
     if r >= n.bit_length():
         return Fraction(0)  # no k = 2^r, 2 2^r, ... <= n
-    acc = Fraction(0)
+    acc = 0
     for k, delta in _path_terms(n, 1 << r):
         lam = k >> r
-        acc += Fraction(2 * lam**3 + lam, 3) * delta
-    return Fraction(4 ** (r + 1), 4**n) * acc
+        acc += (2 * lam**3 + lam) // 3 * delta  # (2 lam^3 + lam) / 3 is an integer
+    return Fraction(4 ** (r + 1) * acc, 4**n)
 
 
 def expected_total_fringe(n):
     """Mean of the total fringe size of a uniform length-n path."""
     if n < 1:
         raise DomainError("need n >= 1")
-    acc = Fraction(0)
+    acc = 0
     for k, delta in _path_terms(n):
-        weight = 2 * k**3 * (2 - Fraction(1, 1 << v2(k))) + k * (
-            (1 << (v2(k) + 1)) - 1
-        )
-        acc += weight * delta
-    return Fraction(4, 3 * 4**n) * acc
+        # 2k^3 (2 - 2^-v) + k (2^(v+1) - 1) = (2^(v+1) - 1) (2k^2 (k >> v) + k)
+        v = v2(k)
+        acc += ((2 << v) - 1) * (2 * k * k * (k >> v) + k) * delta
+    return Fraction(4 * acc, 3 * 4**n)

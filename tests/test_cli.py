@@ -370,6 +370,34 @@ class TestTable:
             5, "", "redcalc: path enumeration capped at n = 5\n"
         )
 
+    @pytest.mark.parametrize("method", ["exact", "oracle"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_rdeg_dist_of_no_path_is_domain_error(self, capsys, method, n):
+        for quantity in ("rdeg-dist", "rdeg-mean"):
+            argv = ("table", quantity, "--n", n, "--method", method)
+            assert run(capsys, *argv) == (3, "", "redcalc: need n >= 1\n")
+
+    def test_series_beyond_cap_is_a_resource_cap(self, capsys, monkeypatch):
+        argv = ["table", "fringe-mean", "--r", "1", "--n"]
+        n = cli.SERIES_N_CAP
+        assert cli.SERIES_N_CAP == 128
+        want = run(capsys, *argv, str(n), "--method", "series")
+        assert want == run(capsys, *argv, str(n), "--check")
+        assert want == (0, "129/4 (32.25)\n", "")
+        assert run(capsys, *argv, str(n + 1), "--method", "series") == (
+            5, "", "redcalc: series backend capped at n = 128\n"
+        )
+        # --check with another method leaves the series out beyond its cap
+        backends = cli.QUANTITIES["fringe-mean"]["backends"]
+
+        def no_series(n, r):
+            raise AssertionError("series backend beyond its cap")
+
+        monkeypatch.setitem(backends, "series", no_series)
+        code, out, err = run(capsys, *argv, str(n + 1), "--check")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *argv, str(n + 1))[1]
+
     @pytest.mark.parametrize(
         "quantity",
         ["branches-total-mean", "rdeg-mean", "fringe-total-mean", "rdeg-dist"],
@@ -409,6 +437,9 @@ class TestQuantityTable:
                         assert got == (0, want, "")
                     else:
                         assert got[:2] == (3, "")
+                if "asymptotic" not in spec:
+                    got = run(capsys, *argv, "--method", "asymptotic")
+                    assert got[:2] == (3, "")
 
     def test_parser_choices_are_the_table_in_help_order(self):
         parser = cli.build_parser()
@@ -423,9 +454,11 @@ class TestQuantityTable:
             "fringe-total-mean",
             "series-coefficients",
         ]
-        assert sorted(quantity.choices) == sorted(
-            [*cli.QUANTITIES, "rdeg-dist", "series-coefficients"]
-        )
+        assert list(quantity.choices) == [*cli.QUANTITIES, "series-coefficients"]
+        (family,) = [a for a in table._actions if a.dest == "family"]
+        assert list(family.choices) == list(cli._SERIES_FAMILIES) == [
+            "B", "Beq", "F1", "F2", "L", "Leq", "H", "sigma", "branch-total"
+        ]
 
 
 class TestFigure:
@@ -568,9 +601,16 @@ class TestVerify:
         assert list(verify._verify_three_way(trees, paths)) == []
         backends = cli.QUANTITIES[quantity]["backends"]
         right = backends[backend]
-        monkeypatch.setitem(
-            backends, backend, lambda n, r: right(n, r) + (n == 3)
-        )
+
+        def wrong(n, r):
+            value = right(n, r)
+            if n != 3:
+                return value
+            if isinstance(value, dict):  # a distribution: one count is off
+                return {**value, 1: value[1] + 1}
+            return value + 1
+
+        monkeypatch.setitem(backends, backend, wrong)
         problems = list(verify._verify_three_way(trees, paths))
         assert problems
         assert all(
