@@ -12,7 +12,6 @@ neither module unless it is used.
 
 from .errors import (
     DomainError,
-    ExactnessError,
     MismatchError,
     ParseError,
     RedcalcError,
@@ -69,7 +68,6 @@ __all__ = [
     "DomainError",
     "MismatchError",
     "ResourceCapError",
-    "ExactnessError",
     *_LAZY,
     "__version__",
 ]

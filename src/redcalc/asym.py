@@ -23,7 +23,6 @@ __all__ = [
     "asy_r_branch_var",
     "asy_total_branches_smooth",
     "asy_total_branches_mean",
-    "delta_branches",
     "asy_rdeg",
     "asy_count_rdeg",
     "asy_fringe",
@@ -105,10 +104,6 @@ def fluctuation(family, big_k=20):
     return FluctuationSpec(
         family, big_k, tuple(_coeff(family, k) for k in range(1, big_k + 1))
     )
-
-
-def delta_branches(x, big_k=20):
-    return fluctuation("branches-total", big_k)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +215,8 @@ def asy_total_branches_smooth(n):
 
 def asy_total_branches_mean(n, big_k=20):
     """Expected total branch count of a uniform size-n tree."""
-    value = asy_total_branches_smooth(n) + delta_branches(_log4(n), big_k)
+    fluc = fluctuation("branches-total", big_k)
+    value = asy_total_branches_smooth(n) + fluc(_log4(n))
     return AsymptoticValue(value, "O(log n / n)", n, big_k=big_k)
 
 

@@ -17,9 +17,11 @@ reached through redcalc.verify, not through this module.
 table's --n quantities (the means and the reduction-degree distribution)
 are one table, QUANTITIES, from which table takes its checks, its
 backends and its --check comparison, and over which verify's
-cross-validation loops.  A backend beyond its size cap (the oracle's
-enumeration cap, SERIES_N_CAP for the series) exits 5 when --method
-names it; table --check leaves it out there.
+cross-validation loops; verify writes out only the checks of what is no
+such quantity (the tree second moment and the register histogram).  A
+backend beyond its size cap (the oracle's enumeration cap, SERIES_N_CAP
+for the series) exits 5 when --method names it; table --check leaves it
+out there.
 
 Every command runs in a fresh interpreter, so each request imports only
 the modules it uses beyond asym, which all of them load: tree loads trees,
@@ -204,7 +206,14 @@ QUANTITIES = {
                 k: c
                 for k in range(max(n.bit_length() - 1, 1) + 1)
                 if (c := _exact().count_paths_rdeg(n, k))
-            }
+            },
+            # 4^(k+1) [z^n] sigma_k, off one pass of sigma's stages; a
+            # length-n path reduces at most n.bit_length() - 1 times
+            series=lambda n, r: {
+                k: c
+                for k, s in enumerate(_series()._stages("sigma", n.bit_length() - 1, n))
+                if (c := 4 ** (k + 1) * s[n])
+            },
         ),
         read=lambda st, r: st.rdeg_hist,
     ),
@@ -221,7 +230,7 @@ QUANTITIES = {
         backends=dict(
             exact=lambda n, r: _exact().expected_fringe(n, r),
             series=lambda n, r: Fraction(
-                _series().fringe_moment_series(r, max(n, 1))[n], 4**n
+                _series().h_r_bivariate(r, max(n, 1)).eval_moment("first")[n], 4**n
             ),
         ),
         read=lambda st, r: st.per_r[r].mean(),
@@ -330,7 +339,8 @@ def cmd_table(args):
             if name == args.method:
                 raise ResourceCapError(f"{what} capped at n = {limit}")
             del backends[name]
-    value = _computed(args, backends, f"{args.quantity} at n={n}, r={r}")
+    at = f"n={n}, r={r}" if takes_r else f"n={n}"
+    value = _computed(args, backends, f"{args.quantity} at {at}")
     if isinstance(value, dict):  # a distribution: rows (r, count, 4^n)
         rows = [(k, c, 4**n) for k, c in value.items()]
         lines = [f"r={k}: {c}/{d}" for k, c, d in rows]

@@ -37,9 +37,3 @@ class ResourceCapError(RedcalcError):
     """Requested enumeration exceeds the configured size cap."""
 
     exit_code = 5
-
-
-class ExactnessError(RedcalcError):
-    """A series division did not come out integral."""
-
-    exit_code = 1

@@ -9,14 +9,13 @@ computes them all from a table of (seed, a, b) entries; every public
 function reads its result off the stages of one pass.  The path families
 are read off sigma's stages: L_r = sum_{k <= r} 4^(k+1) sigma_k, and the
 bivariate fringe series H_r, stored as one TruncatedSeries per v-degree,
-has [v^m] H_r = 4^(r+m) sigma_r^m.  No floating point is used in this
-module; a division that does not come out integral raises ExactnessError
-instead of silently rounding.
+has [v^m] H_r = 4^(r+m) sigma_r^m, so the fringe moments are H_r's
+moments in v.  No floating point is used in this module.
 """
 
 import math
 
-from .errors import DomainError, ExactnessError
+from .errors import DomainError
 
 __all__ = [
     "TruncatedSeries",
@@ -31,7 +30,6 @@ __all__ = [
     "l_r_series",
     "l_r_equal_series",
     "branch_total_series",
-    "fringe_moment_series",
     "h_r_bivariate",
     "catalan",
 ]
@@ -115,27 +113,6 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        self._check(other)
-        g0 = other.c[0]
-        if g0 == 0:
-            raise DomainError("division by a series with zero constant term")
-        n = len(self.c)
-        out = [0] * n
-        for i in range(n):
-            acc = self.c[i]
-            for j in range(1, i + 1):
-                gj = other.c[j]
-                if gj:
-                    acc -= gj * out[i - j]
-            q, rem = divmod(acc, g0)
-            if rem:
-                raise ExactnessError(
-                    f"non-integral quotient at coefficient {i}"
-                )
-            out[i] = q
-        return TruncatedSeries(out)
 
     def compose(self, inner):
         """self(inner(z)), truncated; inner must have valuation >= 1."""
@@ -284,25 +261,6 @@ def branch_total_series(order):
     for f in _stages("F1", (order + 1).bit_length() - 1, order):
         total = total + f
     return total
-
-
-def fringe_moment_series(r, order, moment="first"):
-    """Moment series of the r-th fringe size, via sigma iteration.
-
-    moment="first": coefficient of z^n is the sum of |fringe_r| over all
-    paths of length n.  moment="second_factorial_combined": sum of
-    X(X-1) + X, i.e. the sum of X^2.
-    """
-    if moment not in ("first", "second_factorial_combined"):
-        raise DomainError(f"unknown moment {moment!r}")
-    s = sigma_iterate(r, order)
-    if s.valuation() > order:
-        return s  # sigma_r = O(z^(2^r)): no path this short reduces r times
-    one = _one(order)
-    denom = one - 4 * s
-    if moment == "first":
-        return (4 ** (r + 1)) * s / (denom * denom)
-    return (4 ** (r + 1)) * (s * (one + 4 * s)) / (denom * denom * denom)
 
 
 class BivariateSeries:

@@ -9,9 +9,10 @@ and goes no further in it; the acceptance gate lists them all.
 
 The cross-validation and the residual groups take the quantities from
 ``cli.QUANTITIES``, the table the ``table`` command computes from, the
-reduction-degree distribution among them; only the checks of what is no
-such quantity (second moments, the register histogram, the series of
-the reduction-degree counts, the bivariate series) are written out here.
+reduction-degree distribution among them, so the path series (the
+reduction-degree counts and the fringe means) are checked through the
+table too.  Only the checks of what is no such quantity (the tree second
+moment and the register histogram) are written out here.
 
 Of the CLI's requests only ``verify`` imports this module, so no other
 request compiles it; it loads every backend, the oracle and with it
@@ -84,15 +85,6 @@ def _verify_three_way(trees, paths):
         for r, count in st.register_hist.items():
             if series.b_r_equal_series(r, order)[n] != count:
                 yield f"register histogram mismatch at n={n}, r={r}"
-    for n, st in paths.items():
-        order = max(n, 1)
-        for r, count in st.rdeg_hist.items():
-            if series.l_r_equal_series(r, order)[n] != count:
-                yield f"rdeg series mismatch at n={n}, r={r}"
-        for r, acc in enumerate(st.per_r):
-            hrow = series.h_r_bivariate(r, order).eval_moment("first")[n]
-            if acc.total != hrow:
-                yield f"bivariate fringe series mismatch at n={n}, r={r}"
 
 
 def _sharp_bounds(kind, n, m, st):

@@ -184,7 +184,8 @@ class TestTotalBranches:
         for n in (2, 3, 100, 4097):
             x = math.log(n) / math.log(4.0)
             assert asym.asy_total_branches_mean(n, 7).value == (
-                asym.asy_total_branches_smooth(n) + asym.delta_branches(x, 7)
+                asym.asy_total_branches_smooth(n)
+                + asym.fluctuation("branches-total", 7)(x)
             )
         with pytest.raises(DomainError):
             asym.asy_total_branches_smooth(1)
@@ -249,8 +250,7 @@ class TestFringeExpansions:
         # r <= 1: the mean against the closed form, the variance against the
         # second-moment series and, where enumeration is cheap, the oracle;
         # the r = 1 forms are exact from n = 3 (mean) and n = 4 (variance)
-        sq = {r: series.fringe_moment_series(r, 64, "second_factorial_combined")
-              for r in (0, 1)}
+        sq = {r: series.h_r_bivariate(r, 64).eval_moment("second_raw") for r in (0, 1)}
         for n in range(1, 65):
             stats = oracle.path_stats(n) if n <= 8 else None
             for r in (0, 1):
@@ -289,7 +289,7 @@ class TestFringeExpansions:
         # the exact variance is E[X^2], from the second-moment series, minus
         # the square of the closed-form mean
         def residuals(r, ns):
-            sq = series.fringe_moment_series(r, max(ns), "second_factorial_combined")
+            sq = series.h_r_bivariate(r, max(ns)).eval_moment("second_raw")
             for n in ns:
                 var = Fraction(sq[n], 4**n) - exact.expected_fringe(n, r) ** 2
                 yield n, Fraction(asym.asy_fringe(n, r, "variance").value) - var

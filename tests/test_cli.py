@@ -351,12 +351,11 @@ class TestTable:
         # --check with another method skips the oracle beyond its cap
         assert run(capsys, *argv)[:2] == (0, "70/13 (5.384615385)\n")
 
-    @pytest.mark.parametrize("method", ["series", "asymptotic"])
-    def test_rdeg_dist_has_no_series_or_asymptotic_backend(self, capsys, method):
-        argv = ("table", "rdeg-dist", "--n", "4", "--method", method)
+    def test_rdeg_dist_has_no_asymptotic_backend(self, capsys):
+        argv = ("table", "rdeg-dist", "--n", "4", "--method", "asymptotic")
         assert run(capsys, *argv) == (
-            3, "", f"redcalc: backend '{method}' not applicable"
-            " (have ['exact', 'oracle'])\n"
+            3, "", "redcalc: backend 'asymptotic' not applicable"
+            " (have ['exact', 'oracle', 'series'])\n"
         )
 
     @pytest.mark.parametrize("fmt", ["human", "csv"])
@@ -384,19 +383,40 @@ class TestTable:
         want = run(capsys, *argv, str(n), "--method", "series")
         assert want == run(capsys, *argv, str(n), "--check")
         assert want == (0, "129/4 (32.25)\n", "")
-        assert run(capsys, *argv, str(n + 1), "--method", "series") == (
-            5, "", "redcalc: series backend capped at n = 128\n"
-        )
-        # --check with another method leaves the series out beyond its cap
-        backends = cli.QUANTITIES["fringe-mean"]["backends"]
 
         def no_series(n, r):
             raise AssertionError("series backend beyond its cap")
 
-        monkeypatch.setitem(backends, "series", no_series)
-        code, out, err = run(capsys, *argv, str(n + 1), "--check")
-        assert (code, err) == (0, "")
-        assert out == run(capsys, *argv, str(n + 1))[1]
+        for argv in (argv, ["table", "rdeg-dist", "--n"]):
+            assert run(capsys, *argv, str(n + 1), "--method", "series") == (
+                5, "", "redcalc: series backend capped at n = 128\n"
+            )
+            # --check with another method leaves the series out beyond its cap
+            backends = cli.QUANTITIES[argv[1]]["backends"]
+            monkeypatch.setitem(backends, "series", no_series)
+            code, out, err = run(capsys, *argv, str(n + 1), "--check")
+            assert (code, err) == (0, "")
+            assert out == run(capsys, *argv, str(n + 1))[1]
+
+    @pytest.mark.parametrize(
+        "quantity, r_args, want",
+        [
+            ("branches-total-mean", (), "n=4: exact=48/7, series=55/7, oracle=48/7"),
+            ("r-branches-mean", ("--r", "1"),
+             "n=4, r=1: exact=10/7, series=17/7, oracle=10/7"),
+        ],
+        ids=["branches-total-mean", "r-branches-mean"],
+    )
+    def test_check_names_the_mismatch(
+        self, capsys, monkeypatch, quantity, r_args, want
+    ):
+        backends = cli.QUANTITIES[quantity]["backends"]
+        right = backends["series"]
+        monkeypatch.setitem(backends, "series", lambda n, r: right(n, r) + 1)
+        argv = ("table", quantity, "--n", "4", *r_args, "--check")
+        assert run(capsys, *argv) == (
+            4, "", f"redcalc: backend mismatch for {quantity} at {want}\n"
+        )
 
     @pytest.mark.parametrize(
         "quantity",

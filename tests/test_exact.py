@@ -104,7 +104,7 @@ class TestFringe:
         for n in range(1, 11):
             for r in range(4):
                 want = Fraction(
-                    series.fringe_moment_series(r, max(n, 1))[n], 4**n
+                    series.h_r_bivariate(r, n).eval_moment("first")[n], 4**n
                 )
                 assert exact.expected_fringe(n, r) == want
 
@@ -137,7 +137,7 @@ def test_r_branch_mean_matches_series_random(n, r):
 @settings(max_examples=15, deadline=None)
 @given(_n_upto_200, _r_upto_3)
 def test_fringe_mean_matches_series_random(n, r):
-    want = Fraction(series.fringe_moment_series(r, n)[n], 4**n)
+    want = Fraction(series.h_r_bivariate(r, n).eval_moment("first")[n], 4**n)
     assert exact.expected_fringe(n, r) == want
 
 
