@@ -50,7 +50,10 @@ _FAMILIES = ("branches-total", "rdeg-mean", "rdeg-var", "fringe-total")
 # share of the cold start of a CLI request that needs neither
 class FluctuationSpec(namedtuple("FluctuationSpec", "family big_k coeffs")):
     """Fourier data of one 1-periodic, mean-zero fluctuation: coeffs holds
-    the coefficient of e^{2 pi i k x} for k = 1..K."""
+    the coefficient of e^{2 pi i k x} for k = 1..K, up to the first that is
+    0.0.  The gamma factor of a coefficient decays like e^{-pi |chi_k| / 4}
+    and underflows from k = 105 or 106 on, so every later coefficient is 0.0
+    too, and the build stops at the first zero whatever K is."""
 
     __slots__ = ()
 
@@ -101,9 +104,13 @@ def _d_k(k):
 def fluctuation(family, big_k=20):
     if big_k < 1:
         raise DomainError("need at least one Fourier summand")
-    return FluctuationSpec(
-        family, big_k, tuple(_coeff(family, k) for k in range(1, big_k + 1))
-    )
+    coeffs = []
+    for k in range(1, big_k + 1):
+        c = _coeff(family, k)
+        if c == 0:
+            break
+        coeffs.append(c)
+    return FluctuationSpec(family, big_k, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +231,7 @@ def asy_rdeg(n, big_k=20, which="mean"):
     """Mean or variance of the reduction degree of a uniform length-n path."""
     if n < 2:
         raise DomainError("need n >= 2")
-    x = math.log(n) / math.log(4.0)
+    x = _log4(n)
     const = (EULER_GAMMA + 2.0 - 3.0 * _LOG2) / (2.0 * _LOG2)
     d1 = fluctuation("rdeg-mean", big_k)(x)
     if which == "mean":

@@ -16,12 +16,13 @@ reached through redcalc.verify, not through this module.
 
 table's --n quantities (the means and the reduction-degree distribution)
 are one table, QUANTITIES, from which table takes its checks, its
-backends and its --check comparison, and over which verify's
-cross-validation loops; verify writes out only the checks of what is no
-such quantity (the tree second moment and the register histogram).  A
-backend beyond its size cap (the oracle's enumeration cap, SERIES_N_CAP
-for the series) exits 5 when --method names it; table --check leaves it
-out there.
+backends and its --check comparison, figure its exact means, and over
+which verify's cross-validation loops; verify writes out only the checks
+of what is no such quantity (the tree second moment and the register
+histogram).  A --method that is not one of the quantity's backends exits
+3 at every n.  A backend beyond its size cap (the oracle's enumeration
+cap, SERIES_N_CAP for the series) exits 5 when --method names it; table
+--check leaves it out there.
 
 Every command runs in a fresh interpreter, so each request imports only
 the modules it uses beyond asym, which all of them load: tree loads trees,
@@ -264,28 +265,6 @@ _OBJECTS = {
 }
 
 
-def _computed(args, backends, what):
-    """The value of the --method backend, one of backends (name -> a
-    zero-argument function); with --check also every other backend's,
-    which must equal it."""
-    if args.method not in backends:
-        raise DomainError(
-            f"backend {args.method!r} not applicable (have {sorted(backends)})"
-        )
-    value = backends[args.method]()
-    if args.check:
-        values = {
-            name: value if name == args.method else compute()
-            for name, compute in backends.items()
-        }
-        if any(v != value for v in values.values()):
-            raise MismatchError(
-                f"backend mismatch for {what}: "
-                + ", ".join(f"{k}={v}" for k, v in values.items())
-            )
-    return value
-
-
 def cmd_table(args):
     spec = QUANTITIES.get(args.quantity)
     takes_r = spec is not None and spec["takes_r"]
@@ -331,6 +310,10 @@ def cmd_table(args):
     option, enumeration = objects["cap"]
     cap = getattr(args, option)
     backends["oracle"] = lambda: spec["read"](objects["scan"](n, r, cap), r)
+    if args.method not in backends:
+        raise DomainError(
+            f"backend {args.method!r} not applicable (have {sorted(backends)})"
+        )
     # beyond its cap a backend exits 5 when --method names it, and --check
     # leaves it out
     caps = {"oracle": (cap, enumeration), "series": (SERIES_N_CAP, "series backend")}
@@ -339,8 +322,18 @@ def cmd_table(args):
             if name == args.method:
                 raise ResourceCapError(f"{what} capped at n = {limit}")
             del backends[name]
-    at = f"n={n}, r={r}" if takes_r else f"n={n}"
-    value = _computed(args, backends, f"{args.quantity} at {at}")
+    value = backends[args.method]()
+    if args.check:
+        values = {
+            name: value if name == args.method else compute()
+            for name, compute in backends.items()
+        }
+        if any(v != value for v in values.values()):
+            at = f"n={n}, r={r}" if takes_r else f"n={n}"
+            raise MismatchError(
+                f"backend mismatch for {args.quantity} at {at}: "
+                + ", ".join(f"{k}={v}" for k, v in values.items())
+            )
     if isinstance(value, dict):  # a distribution: rows (r, count, 4^n)
         rows = [(k, c, 4**n) for k, c in value.items()]
         lines = [f"r={k}: {c}/{d}" for k, c, d in rows]
@@ -359,17 +352,13 @@ def cmd_table(args):
 
 _FIGURES = {
     "branches-fluctuation": dict(
-        exact=lambda n: QUANTITIES["branches-total-mean"]["backends"]["exact"](
-            n, None
-        ),
+        quantity="branches-total-mean",
         family="branches-total",
         smooth=asym.asy_total_branches_smooth,
         default_range=(2.0, 5.0),
     ),
     "fringe-fluctuation": dict(
-        exact=lambda n: QUANTITIES["fringe-total-mean"]["backends"]["exact"](
-            n, None
-        ),
+        quantity="fringe-total-mean",
         family="fringe-total",
         smooth=asym.asy_total_fringe_smooth,
         default_range=(1.0, 4.0),
@@ -397,13 +386,14 @@ def figure_rows(figure, x_min, x_max, points, terms):
             raise ResourceCapError(f"figure grid capped at n = {FIGURE_N_CAP}")
         grid.append(n)
     spec = _FIGURES[figure]
+    exact = QUANTITIES[spec["quantity"]]["backends"]["exact"]
     fluc = asym.fluctuation(spec["family"], terms)
     rows = []
     for n in dict.fromkeys(grid):
         if n < 2:
             continue
         x_n = math.log(n) / math.log(4.0)
-        ev = float(spec["exact"](n))
+        ev = float(exact(n, None))
         smooth = spec["smooth"](n)
         rows.append((x_n, n, ev, smooth, ev - smooth, fluc(x_n)))
     return rows

@@ -60,6 +60,19 @@ class TestFluctuations:
             assert -0.09 <= lo <= hi <= 0.06
             assert hi - lo > 0.05  # visibly nonzero, per the plotted scale
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_big_k_stops_at_the_first_zero_coefficient(self, family):
+        # every coefficient from the first 0.0 through k = 400 is 0.0, so a
+        # huge K builds only the nonzero ones and sums to the same bits
+        full = [asym._coeff(family, k) for k in range(1, 401)]
+        first_zero = full.index(0)
+        assert first_zero in (104, 105) and not any(full[first_zero:])
+        f = asym.fluctuation(family, 10**6)
+        assert (f.big_k, f.coeffs) == (10**6, tuple(full[:first_zero]))
+        reference = asym.FluctuationSpec(family, 400, tuple(full))
+        for x in (0.0, 0.3, 0.77):
+            assert f(x).hex() == reference(x).hex()
+
     def test_coefficients_cached(self):
         assert asym.fluctuation("rdeg-mean", 20) is asym.fluctuation("rdeg-mean", 20)
 

@@ -358,6 +358,34 @@ class TestTable:
             " (have ['exact', 'oracle', 'series'])\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, have",
+        [
+            (("rdeg-dist", "--n", "100", "--method", "asymptotic"),
+             "['exact', 'oracle', 'series']"),
+            (("rdeg-dist", "--n", "129", "--method", "asymptotic"),
+             "['exact', 'oracle', 'series']"),
+            (("rdeg-mean", "--n", "200", "--method", "series"),
+             "['exact', 'oracle']"),
+        ],
+        ids=["rdeg-dist-100", "rdeg-dist-129", "rdeg-mean-200"],
+    )
+    def test_not_applicable_lists_backends_beyond_their_cap(
+        self, capsys, argv, have
+    ):
+        # the list is the quantity's, whatever the caps leave at this n
+        assert run(capsys, "table", *argv) == (
+            3, "", f"redcalc: backend {argv[-1]!r} not applicable (have {have})\n"
+        )
+
+    def test_asymptotic_terms_past_the_first_zero_coefficient(self, capsys):
+        argv = (
+            "table", "branches-total-mean", "--n", "1000", "--method", "asymptotic"
+        )
+        want = run(capsys, *argv, "--terms", "400")
+        assert want[0] == 0
+        assert run(capsys, *argv, "--terms", str(10**6)) == want
+
     @pytest.mark.parametrize("fmt", ["human", "csv"])
     def test_rdeg_dist_oracle_method(self, capsys, fmt):
         argv = ("table", "rdeg-dist", "--n", "6", "--format", fmt)
@@ -522,11 +550,13 @@ class TestFigure:
     def test_cap_checked_before_any_point(self, capsys, monkeypatch, figure):
         calls = []
 
-        def counted(n):
+        def counted(n, r):
             calls.append(n)
             return 0
 
-        monkeypatch.setitem(cli._FIGURES[figure], "exact", counted)
+        quantity = cli._FIGURES[figure]["quantity"]
+        backends = cli.QUANTITIES[quantity]["backends"]
+        monkeypatch.setitem(backends, "exact", counted)
         code, out, err = run(capsys, "figure", figure, "--x-max", "8")
         assert (code, out, calls) == (5, "", [])
         assert err == f"redcalc: figure grid capped at n = {cli.FIGURE_N_CAP}\n"
@@ -803,17 +833,6 @@ class TestColdStart:
     def test_package_import_loads_only_errors(self):
         loaded, missing = _fresh(_IMPORT_CHILD)
         assert (loaded, missing) == (["redcalc", "redcalc.errors"], [])
-
-    def test_all_names_resolve_to_their_modules(self):
-        from redcalc import paths, trees
-
-        for name in redcalc.__all__:
-            value = getattr(redcalc, name)
-            for module in (trees, paths):
-                if name in module.__all__:
-                    assert value is getattr(module, name)
-        with pytest.raises(AttributeError):
-            getattr(redcalc, "no_such_name")
 
     def test_oracle_method(self, capsys):
         argv = ("table", "rdeg-mean", "--n", "6")
