@@ -172,7 +172,7 @@ def _poly_in_v(row):
 # objects of size n or, for rdeg-dist, its distribution (a dict of nonzero
 # counts): name -> takes_r (whether it takes --r), objects (the key of
 # _OBJECTS it averages over), backends (one f(n, r) per exact backend besides
-# the oracle), read (the oracle's value off a scan's TreeStats or PathStats,
+# the oracle), read (the oracle's value off a scan's oracle.ScanStats,
 # f(stats, r)) and, for a mean, asymptotic (f(n, r, terms))
 QUANTITIES = {
     "r-branches-mean": dict(
@@ -216,13 +216,13 @@ QUANTITIES = {
                 if (c := 4 ** (k + 1) * s[n])
             },
         ),
-        read=lambda st, r: st.rdeg_hist,
+        read=lambda st, r: {k: c for k, c in enumerate(st.degree) if c},
     ),
     "rdeg-mean": dict(
         takes_r=False,
         objects="paths",
         backends=dict(exact=lambda n, r: _exact().expected_rdeg(n)),
-        read=lambda st, r: st.rdeg.mean(),
+        read=lambda st, r: st.degree.mean(),
         asymptotic=lambda n, r, terms: asym.asy_rdeg(n, terms, "mean").value,
     ),
     "fringe-mean": dict(

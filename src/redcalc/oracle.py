@@ -1,18 +1,25 @@
 """Ground-truth backend: exhaustive enumeration, uniform samplers, CLT checks.
 
-Enumeration keeps every statistic as exact integers, so agreement with the
-series and closed-form backends can be asserted as equality.  The tree scan
-is a numpy pass with one packed int32 row per tree (register code, branch
-count per r, total branch count), built bottom-up by the register rule:
-the row of Node(x, y) is row x + row y plus one entry of a small table
-looked up by the register codes of x and y, so joining two sizes costs a
-handful of numpy calls whatever the width of a row.  The path scan is a
-numpy pass with one row of step codes per path, reduced block by block by
-one kernel that the fringe sampler and the extremal-path check share.
-Both scans run on the calling thread.  The cherry sampler runs the Markov
-chain that the cherry count follows under Remy's leaf insertion, with no
-tree built.  Samplers draw fixed-size chunks from streams split off one
-seed, so their output depends on the seed alone.
+Enumeration keeps every statistic as an exact Histogram (entry x counts
+the objects whose statistic is x), so agreement with the series and
+closed-form backends can be asserted as equality, and the moments and
+ranges are read off it.  Both scans return one ScanStats record: the
+histogram of the degree (the register of a tree, the reduction degree of
+a path), of the statistic for each r (the r-branch count, the r-th fringe
+size) and of its total over r.
+
+The tree scan is a numpy pass with one packed int32 row per tree
+(register code, branch count per r, total branch count), built bottom-up
+by the register rule: the row of Node(x, y) is row x + row y plus one
+entry of a small table looked up by the register codes of x and y, so
+joining two sizes costs a handful of numpy calls whatever the width of a
+row.  The path scan is a numpy pass with one row of step codes per path,
+reduced block by block by one kernel that the fringe sampler and the
+extremal-path check share.  Both scans run on the calling thread.  The
+cherry sampler runs the Markov chain that the cherry count follows under
+Remy's leaf insertion, with no tree built.  Samplers draw fixed-size
+chunks from streams split off one seed, so their output depends on the
+seed alone.
 
 This is the only module that imports numpy, and the command line imports
 it only for requests that enumerate or sample.  The size caps TREE_CAP and
@@ -36,7 +43,8 @@ from .trees import LEAF, Node
 __all__ = [
     "TREE_CAP",
     "PATH_CAP",
-    "StatAccumulator",
+    "Histogram",
+    "ScanStats",
     "SeededGenerator",
     "enumerate_trees",
     "tree_stats",
@@ -47,41 +55,50 @@ __all__ = [
     "clt_check",
 ]
 
-@dataclass
-class StatAccumulator:
-    """Exact moments and range of one integer statistic over a population."""
 
-    count: int = 0
-    total: int = 0
-    total_sq: int = 0
-    min: int = None
-    max: int = None
+class Histogram(tuple):
+    """Distribution of one integer statistic over a population: entry x is
+    the number of objects whose statistic is x.  Trailing zeros are
+    trimmed, so equal distributions compare equal however many bins their
+    scan gave them.  count (which shadows tuple.count) is the population
+    size; the moments and the range are read off the entries."""
 
-    def add(self, x, weight=1):
-        self.count += weight
-        self.total += x * weight
-        self.total_sq += x * x * weight
-        if self.min is None or x < self.min:
-            self.min = x
-        if self.max is None or x > self.max:
-            self.max = x
+    def __new__(cls, counts):
+        counts = list(counts)
+        while counts and not counts[-1]:
+            counts.pop()
+        return super().__new__(cls, counts)
+
+    def _sum(self, f):
+        return sum(f(x) * c for x, c in enumerate(self))
+
+    @property
+    def count(self):
+        return sum(self)
+
+    @property
+    def min(self):
+        return next(x for x, c in enumerate(self) if c)
+
+    @property
+    def max(self):
+        return len(self) - 1
 
     def mean(self):
-        return Fraction(self.total, self.count)
+        return Fraction(self._sum(lambda x: x), self.count)
 
     def variance(self):
-        m = self.mean()
-        return Fraction(self.total_sq, self.count) - m * m
+        return Fraction(self._sum(lambda x: x * x), self.count) - self.mean() ** 2
 
     def factorial_moment_sum(self):
         """Sum of X(X-1) over the population."""
-        return self.total_sq - self.total
+        return self._sum(lambda x: x * (x - 1))
 
 
 class _PerR(Sequence):
-    """StatAccumulators for r = 0..r_max, stored only up to the largest
-    attainable r: every larger r has the statistic 0 on all count objects,
-    so a huge r_max costs nothing."""
+    """Histograms for r = 0..r_max, stored only up to the largest attainable
+    r: every larger r has the statistic 0 on all count objects, the one-bin
+    histogram built on access, so a huge r_max costs nothing."""
 
     def __init__(self, stored, r_max, count):
         self.stored, self.r_max, self.count = stored, r_max, count
@@ -91,14 +108,24 @@ class _PerR(Sequence):
 
     def __getitem__(self, r):
         r = range(len(self))[r]  # negative r counts from the end, as in a list
-        if r < len(self.stored):
-            return self.stored[r]
-        return StatAccumulator(self.count, 0, 0, 0, 0)
+        return self.stored[r] if r < len(self.stored) else Histogram((self.count,))
 
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+@dataclass
+class ScanStats:
+    """Exact statistics of all objects of size n, from one exhaustive scan."""
+
+    n: int
+    degree: Histogram  # the register (trees) or the reduction degree (paths)
+    per_r: Sequence  # of the r-branch count or the r-th fringe size, r = 0..r_max
+    total: Histogram  # of the total branch count or the total fringe size
+
+
+def _scan_stats(n, hists, r_max):
+    """The ScanStats of one scan's bin counts: the degree's, the statistic's
+    for r = 0, 1, ..., and the total's."""
+    degree, *per_r, total = map(Histogram, hists)
+    return ScanStats(n, degree, _PerR(per_r[: r_max + 1], r_max, total.count), total)
 
 
 class SeededGenerator:
@@ -130,14 +157,6 @@ def enumerate_trees(n, cap=TREE_CAP):
         for left in enumerate_trees(i, cap=cap):
             for right in enumerate_trees(n - 1 - i, cap=cap):
                 yield Node(left, right)
-
-
-@dataclass
-class TreeStats:
-    n: int
-    per_r: Sequence  # StatAccumulator for the r-branch count, r = 0..r_max
-    total: StatAccumulator
-    register_hist: dict
 
 
 # upper bound on the rows of one block of trees (and of its temporaries)
@@ -224,13 +243,6 @@ def _tree_tables(n, layout):
     return rows
 
 
-def _add_histogram(acc, hist):
-    """Add hist[x] entries equal to x to acc, for every x."""
-    for x, weight in enumerate(hist):
-        if weight:
-            acc.add(x, weight)
-
-
 def tree_stats(n, r_max=None, cap=TREE_CAP):
     """Exact branch statistics over all trees of size n, one packed row of
     an exhaustive numpy scan per tree."""
@@ -260,22 +272,9 @@ def tree_stats(n, r_max=None, cap=TREE_CAP):
             hist += np.bincount(values.ravel(), minlength=bounds[-1])
             del values  # before the next chunk's values exist
     hists = [hist[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
-    per_r = [StatAccumulator() for _ in range(min(r_max, width - 1) + 1)]
-    for acc, counts in zip(per_r, hists[1:]):
-        _add_histogram(acc, counts)
-    total = StatAccumulator()
-    _add_histogram(total, hists[-1])
-    register_hist = {r: hists[0][1 << r] for r in range(width) if hists[0][1 << r]}
-    return TreeStats(n, _PerR(per_r, r_max, total.count), total, register_hist)
-
-
-@dataclass
-class PathStats:
-    n: int
-    rdeg_hist: dict
-    rdeg: StatAccumulator
-    per_r: Sequence  # StatAccumulator for the r-th fringe size, r = 0..r_max
-    total: StatAccumulator
+    # the register code field counts register r in its bin 2^r
+    hists[0] = [hists[0][1 << r] for r in range(width)]
+    return _scan_stats(n, hists, r_max)
 
 
 # upper bound on the cells (rows x steps) of one block of path codes
@@ -456,15 +455,7 @@ def path_stats(n, r_max=None, cap=PATH_CAP):
             hist += np.bincount(values.ravel(), minlength=bounds[-1])
             del values  # before the next chunk's values exist
     hists = [hist[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
-    rdeg_acc = StatAccumulator()
-    _add_histogram(rdeg_acc, hists[0])
-    per_r = [StatAccumulator() for _ in range(min(r_max, depth) + 1)]
-    for acc, counts in zip(per_r, hists[1:]):
-        _add_histogram(acc, counts)
-    total = StatAccumulator()
-    _add_histogram(total, hists[-1])
-    rdeg_hist = {d: c for d, c in enumerate(hists[0]) if c}
-    return PathStats(n, rdeg_hist, rdeg_acc, _PerR(per_r, r_max, total.count), total)
+    return _scan_stats(n, hists, r_max)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ The cross-validation and the residual groups take the quantities from
 reduction-degree distribution among them, so the path series (the
 reduction-degree counts and the fringe means) are checked through the
 table too.  Only the checks of what is no such quantity (the tree second
-moment and the register histogram) are written out here.
+moment and the tree scan's degree histogram, the register's) are written
+out here.
 
 Of the CLI's requests only ``verify`` imports this module, so no other
 request compiles it; it loads every backend, the oracle and with it
@@ -79,10 +80,10 @@ def _verify_three_way(trees, paths):
                         yield f"{quantity} {backend} mismatch at {at}"
     for n, st in trees.items():
         order = max(n, 1)
-        for r, acc in enumerate(st.per_r):
-            if acc.factorial_moment_sum() != series.f2_series(r, order)[n]:
+        for r, hist in enumerate(st.per_r):
+            if hist.factorial_moment_sum() != series.f2_series(r, order)[n]:
                 yield f"tree second moment mismatch at n={n}, r={r}"
-        for r, count in st.register_hist.items():
+        for r, count in enumerate(st.degree):
             if series.b_r_equal_series(r, order)[n] != count:
                 yield f"register histogram mismatch at n={n}, r={r}"
 
@@ -92,9 +93,9 @@ def _sharp_bounds(kind, n, m, st):
     m leaves (trees) or m steps (paths), measured in m: the 0-th statistic
     is m, the r-th lies in [[m > 1 and r = 1], m >> r], and the total in
     [m + [m > 1], 2m - popcount(m)]."""
-    for r, acc in enumerate(st.per_r):
+    for r, hist in enumerate(st.per_r):
         lo, hi = (m, m) if r == 0 else (int(m > 1 and r == 1), m >> r)
-        if (acc.min, acc.max) != (lo, hi):
+        if (hist.min, hist.max) != (lo, hi):
             yield f"{kind} bounds not sharp at n={n}, r={r}"
     if (st.total.min, st.total.max) != (m + (m > 1), 2 * m - bin(m).count("1")):
         yield f"total {kind} bounds not sharp at n={n}"
@@ -104,9 +105,9 @@ def _verify_bounds(trees, paths, extremal_max):
     for n, st in trees.items():
         yield from _sharp_bounds("branch", n, n + 1, st)
     for n, st in paths.items():
-        if st.rdeg.min != (1 if n > 1 else 0):
+        if st.degree.min != (1 if n > 1 else 0):
             yield f"rdeg lower bound not sharp at n={n}"
-        if st.rdeg.max != n.bit_length() - 1:
+        if st.degree.max != n.bit_length() - 1:
             yield f"rdeg upper bound not sharp at n={n}"
         yield from _sharp_bounds("fringe", n, n, st)
     for m in range(2, 130):

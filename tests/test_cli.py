@@ -692,12 +692,14 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "pick, field, problem",
+        # pick gives (holder, key) of one histogram: a ScanStats field through
+        # vars(), or a stored entry of its per_r
         [
-            (lambda t, p: t[3].per_r[1], "max", "branch bounds not sharp at n=3, r=1"),
-            (lambda t, p: t[4].total, "min", "total branch bounds not sharp at n=4"),
-            (lambda t, p: p[5].per_r[2], "min", "fringe bounds not sharp at n=5, r=2"),
-            (lambda t, p: p[5].total, "max", "total fringe bounds not sharp at n=5"),
-            (lambda t, p: p[4].rdeg, "max", "rdeg upper bound not sharp at n=4"),
+            (lambda t, p: (t[3].per_r.stored, 1), "max", "branch bounds not sharp at n=3, r=1"),
+            (lambda t, p: (vars(t[4]), "total"), "min", "total branch bounds not sharp at n=4"),
+            (lambda t, p: (p[5].per_r.stored, 2), "min", "fringe bounds not sharp at n=5, r=2"),
+            (lambda t, p: (vars(p[5]), "total"), "max", "total fringe bounds not sharp at n=5"),
+            (lambda t, p: (vars(p[4]), "degree"), "max", "rdeg upper bound not sharp at n=4"),
         ],
         ids=["tree-r-branch", "tree-total", "path-fringe", "path-total", "rdeg"],
     )
@@ -706,12 +708,11 @@ class TestVerify:
     ):
         trees, paths = verify._oracle_stats(5, 5)
         assert list(verify._verify_bounds(trees, paths, 1)) == []
-        acc = pick(trees, paths)
-        setattr(acc, field, getattr(acc, field) + 1)
+        _raise(*pick(trees, paths), field)
         assert next(verify._verify_bounds(trees, paths, 1), None) == problem
         # a second corrupted range, checked before every other: the group
         # yields both in order, and verify reports the first alone
-        trees[1].per_r[0].min += 1
+        _raise(trees[1].per_r.stored, 0, "min")
         first = "branch bounds not sharp at n=1, r=0"
         assert list(verify._verify_bounds(trees, paths, 1)) == [first, problem]
         monkeypatch.setattr(verify, "_oracle_stats", lambda *_: (trees, paths))
@@ -732,6 +733,19 @@ class TestVerify:
         _, a, _ = run(capsys, "verify", "--quick", "--seed", "7", "--threads", "1")
         _, b, _ = run(capsys, "verify", "--quick", "--seed", "7", "--threads", "4")
         assert a == b
+
+
+def _raise(holder, key, field):
+    """Raise the min or the max of the histogram holder[key] by one: every
+    count of its lowest bin, or one count of its highest, moves one bin up."""
+    hist = holder[key]
+    counts = [*hist, 0]
+    x = getattr(hist, field)
+    moved = counts[x] if field == "min" else 1
+    counts[x] -= moved
+    counts[x + 1] += moved
+    holder[key] = oracle.Histogram(counts)
+    assert getattr(holder[key], field) == x + 1
 
 
 # runs cli.main on its arguments in a fresh interpreter and prints the exit

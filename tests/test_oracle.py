@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies
 
-from redcalc import exact, oracle
+from redcalc import cli, exact, oracle, series
 from redcalc.errors import DomainError, ResourceCapError
 from redcalc.oracle import (
+    Histogram,
+    ScanStats,
     SeededGenerator,
-    StatAccumulator,
     clt_check,
     enumerate_trees,
     path_stats,
@@ -33,21 +34,30 @@ from redcalc.trees import (
 from tree_generators import random_tree
 
 
+def histogram(values):
+    """The Histogram of a list of nonnegative integers."""
+    counts = [0] * (max(values) + 1)
+    for x in values:
+        counts[x] += 1
+    return Histogram(counts)
+
+
+def fields(st):
+    """The fields of a ScanStats, its per_r as a list."""
+    return st.n, st.degree, list(st.per_r), st.total
+
+
 def reference_tree_stats(n, r_max=None):
     """Per-Node scan over enumerate_trees, the object-level reference."""
     if r_max is None:
         r_max = max((n + 1).bit_length() - 1, 1)
-    per_r = [StatAccumulator() for _ in range(r_max + 1)]
-    total = StatAccumulator()
-    hist = {}
-    for t in enumerate_trees(n):
-        bc = branch_counts(t)
-        reg = len(bc.counts) - 1
-        hist[reg] = hist.get(reg, 0) + 1
-        for r in range(r_max + 1):
-            per_r[r].add(bc.counts[r] if r < len(bc.counts) else 0)
-        total.add(bc.total)
-    return oracle.TreeStats(n, per_r, total, hist)
+    counts = [branch_counts(t).counts for t in enumerate_trees(n)]
+    return ScanStats(
+        n,
+        histogram([len(c) - 1 for c in counts]),
+        [histogram([c[r] if r < len(c) else 0 for c in counts]) for r in range(r_max + 1)],
+        histogram([sum(c) for c in counts]),
+    )
 
 
 def all_paths(n):
@@ -60,19 +70,13 @@ def reference_path_stats(n, r_max=None):
     """Per-path scan over all_paths, the string-level reference."""
     if r_max is None:
         r_max = max(n.bit_length() - 1, 1)
-    hist = {}
-    rdeg_acc = StatAccumulator()
-    per_r = [StatAccumulator() for _ in range(r_max + 1)]
-    total = StatAccumulator()
-    for p in all_paths(n):
-        sizes = fringe_sizes(p)
-        d = len(sizes) - 1
-        hist[d] = hist.get(d, 0) + 1
-        rdeg_acc.add(d)
-        for r in range(r_max + 1):
-            per_r[r].add(sizes[r] if r < len(sizes) else 0)
-        total.add(sum(sizes))
-    return oracle.PathStats(n, hist, rdeg_acc, per_r, total)
+    sizes = [fringe_sizes(p) for p in all_paths(n)]
+    return ScanStats(
+        n,
+        histogram([len(s) - 1 for s in sizes]),
+        [histogram([s[r] if r < len(s) else 0 for s in sizes]) for r in range(r_max + 1)],
+        histogram([sum(s) for s in sizes]),
+    )
 
 
 def reference_fringe_sizes(n, r, samples, gen, batch=5000):
@@ -102,15 +106,18 @@ def _codes(paths, pad=0):
     return codes
 
 
-class TestAccumulator:
+class TestHistogram:
     def test_moments_exact(self):
-        acc = StatAccumulator()
-        for x in (1, 2, 2, 5):
-            acc.add(x)
-        assert acc.mean() == Fraction(5, 2)
-        assert acc.variance() == Fraction(9, 4)
-        assert (acc.min, acc.max) == (1, 5)
-        assert acc.factorial_moment_sum() == 0 + 2 + 2 + 20
+        hist = histogram([1, 2, 2, 5])
+        assert hist == (0, 1, 2, 0, 0, 1)
+        assert hist.mean() == Fraction(5, 2)
+        assert hist.variance() == Fraction(9, 4)
+        assert (hist.min, hist.max) == (1, 5)
+        assert hist.factorial_moment_sum() == 0 + 2 + 2 + 20
+
+    def test_trailing_zeros_trimmed(self):
+        assert Histogram([3, 0, 1, 0, 0]) == Histogram([3, 0, 1]) == (3, 0, 1)
+        assert Histogram([0, 0]) == ()
 
 
 class TestEnumeration:
@@ -127,7 +134,7 @@ class TestEnumeration:
 
     def test_path_counts(self):
         for n in (1, 2, 5):
-            assert path_stats(n).rdeg.count == 4**n
+            assert path_stats(n).degree.count == 4**n
 
     def test_caps(self):
         with pytest.raises(ResourceCapError):
@@ -148,9 +155,9 @@ class TestEnumeration:
 
 class TestTreeStats:
     def test_known_sums(self):
-        assert tree_stats(1).per_r[1].total == 1
-        assert tree_stats(4).per_r[1].total == 20
-        assert tree_stats(2).total.total == 8
+        assert _sum(tree_stats(1).per_r[1]) == 1
+        assert _sum(tree_stats(4).per_r[1]) == 20
+        assert _sum(tree_stats(2).total) == 8
 
     def test_means_match_closed_forms(self):
         for n in range(9):
@@ -161,8 +168,8 @@ class TestTreeStats:
 
     def test_register_histogram(self):
         st = tree_stats(4)
-        assert st.register_hist == {1: 8, 2: 6}
-        assert sum(st.register_hist.values()) == 14
+        assert st.degree == (0, 8, 6)
+        assert st.degree.count == 14
 
     def test_bounds_sharp(self):
         for n in range(1, 9):
@@ -207,7 +214,9 @@ class TestTreeScan:
     @pytest.mark.parametrize("r_max", [None, 1, 2, 3])
     def test_matches_reference_loop(self, r_max):
         for n in range(12):
-            assert tree_stats(n, r_max=r_max) == reference_tree_stats(n, r_max)
+            assert fields(tree_stats(n, r_max=r_max)) == fields(
+                reference_tree_stats(n, r_max)
+            )
 
     def test_huge_r_max_stores_only_attainable_r(self):
         r_max = 10**5
@@ -215,14 +224,14 @@ class TestTreeScan:
         assert len(st.per_r) == r_max + 1 and len(st.per_r.stored) == 3
         assert list(st.per_r.stored) == list(tree_stats(5).per_r)
         for r in (3, r_max, -1):
-            assert st.per_r[r] == oracle.StatAccumulator(42, 0, 0, 0, 0)
+            assert st.per_r[r] == Histogram([42]) == (42,)
         with pytest.raises(IndexError):
             st.per_r[r_max + 1]
 
     def test_size_zero(self):
         st = tree_stats(0)
-        assert st == reference_tree_stats(0)
-        assert st.register_hist == {0: 1}
+        assert fields(st) == fields(reference_tree_stats(0))
+        assert st.degree == (1,)
         assert (st.per_r[0].min, st.per_r[0].max, st.per_r[1].max) == (1, 1, 0)
 
     def test_cap_checked_before_allocation(self):
@@ -259,6 +268,11 @@ class TestTreeScan:
         assert peak < 520 * 1024
 
 
+def _sum(hist):
+    """The sum of the statistic over the population."""
+    return sum(x * c for x, c in enumerate(hist))
+
+
 def _padded(counts, width):
     return tuple(counts) + (0,) * (width - len(counts))
 
@@ -293,16 +307,16 @@ def test_register_rule(n_a, seed_a, n_b, seed_b):
 
 class TestPathStats:
     def test_rdeg_histograms(self):
-        assert path_stats(2).rdeg_hist == {1: 16}
-        assert path_stats(4).rdeg_hist == {1: 192, 2: 64}
+        assert path_stats(2).degree == (0, 16)
+        assert path_stats(4).degree == (0, 192, 64)
 
     def test_known_fringe_sum(self):
-        assert path_stats(4).per_r[1].total == 320
+        assert _sum(path_stats(4).per_r[1]) == 320
 
     def test_means_match_closed_forms(self):
         for n in range(1, 9):
             st = path_stats(n)
-            assert st.rdeg.mean() == exact.expected_rdeg(n)
+            assert st.degree.mean() == exact.expected_rdeg(n)
             for r in range(len(st.per_r)):
                 assert st.per_r[r].mean() == exact.expected_fringe(n, r)
             assert st.total.mean() == exact.expected_total_fringe(n)
@@ -310,8 +324,8 @@ class TestPathStats:
     def test_bounds_sharp(self):
         for n in range(2, 9):
             st = path_stats(n)
-            assert st.rdeg.min == 1
-            assert st.rdeg.max == n.bit_length() - 1
+            assert st.degree.min == 1
+            assert st.degree.max == n.bit_length() - 1
             assert st.per_r[1].min == 1
             for r in range(1, len(st.per_r)):
                 assert st.per_r[r].max == n // 2**r
@@ -358,8 +372,9 @@ class TestPathScan:
     def test_matches_reference_loop(self, r_max):
         for n in range(1, 9):
             st = path_stats(n, r_max=r_max)
-            assert st == reference_path_stats(n, r_max)
-            assert list(st.rdeg_hist) == sorted(st.rdeg_hist)
+            assert fields(st) == fields(reference_path_stats(n, r_max))
+            dist = cli.QUANTITIES["rdeg-dist"]["read"](st, None)
+            assert list(dist) == sorted(dist)
 
     def test_huge_r_max_stores_only_attainable_r(self):
         r_max = 10**5
@@ -367,7 +382,9 @@ class TestPathScan:
         assert len(st.per_r) == r_max + 1 and len(st.per_r.stored) == 3
         assert list(st.per_r.stored) == list(path_stats(5).per_r)
         for r in (3, r_max, -1):
-            assert st.per_r[r] == oracle.StatAccumulator(4**5, 0, 0, 0, 0)
+            assert st.per_r[r] == Histogram([4**5]) == (4**5,)
+        with pytest.raises(IndexError):
+            st.per_r[r_max + 1]
 
     def test_cap_checked_before_allocation(self):
         tracemalloc.start()
@@ -388,7 +405,7 @@ class TestPathScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert st.rdeg.count == 4**10
+        assert st.degree.count == 4**10
         assert peak < 4 * 2**20
 
 
@@ -408,6 +425,31 @@ def test_kernel_matches_fringe_sizes_property(paths, pad):
     for p, row in zip(paths, table.tolist()):
         sizes = fringe_sizes(p)
         assert row == sizes + [0] * (len(row) - len(sizes))
+
+
+class TestDistributions:
+    """The oracle's histograms against laws derived independently of it."""
+
+    def test_cherry_law(self):
+        # size-n trees with k cherries: C(n-1, 2k-2) Cat(k-1) 2^(n-2k+1),
+        # by Touchard's identity (McKenzie & Steel, Math. Biosci. 164 (2000))
+        def trees_with(n, k):
+            cat = math.comb(2 * k - 2, k - 1) // k
+            return math.comb(n - 1, 2 * k - 2) * cat * 2 ** (n - 2 * k + 1)
+
+        for n in range(2, 13):
+            law = [0] + [trees_with(n, k) for k in range(1, (n + 1) // 2 + 1)]
+            assert tree_stats(n).per_r[1] == Histogram(law), n
+
+    def test_fringe_sizes_are_rows_of_h(self):
+        # [z^n v^m] H_r counts the length-n paths whose r-th fringe has
+        # size m >= 1
+        for n in range(1, 9):
+            st = path_stats(n, r_max=3)
+            for r in range(4):
+                got = {m: c for m, c in enumerate(st.per_r[r]) if m and c}
+                row = series.h_r_bivariate(r, n).row(n)
+                assert got == {m: c for m, c in row.items() if m}, (n, r)
 
 
 class TestGenerator:
