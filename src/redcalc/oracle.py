@@ -38,7 +38,6 @@ import numpy as np
 from . import asym
 from .errors import PATH_CAP, TREE_CAP, DomainError, ResourceCapError
 from .paths import _COLLAPSE, _EXPAND, STEPS
-from .trees import LEAF, Node
 
 __all__ = [
     "TREE_CAP",
@@ -46,7 +45,6 @@ __all__ = [
     "Histogram",
     "ScanStats",
     "SeededGenerator",
-    "enumerate_trees",
     "tree_stats",
     "path_stats",
     "sample_cherry_counts",
@@ -143,22 +141,6 @@ class SeededGenerator:
         return np.random.default_rng(self.seed)
 
 
-def enumerate_trees(n, cap=TREE_CAP):
-    """All binary trees with n internal nodes, deterministic order; tree_stats
-    builds its rows in the same order."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if n > cap:
-        raise ResourceCapError(f"tree enumeration capped at n = {cap}")
-    if n == 0:
-        yield LEAF
-        return
-    for i in range(n):
-        for left in enumerate_trees(i, cap=cap):
-            for right in enumerate_trees(n - 1 - i, cap=cap):
-                yield Node(left, right)
-
-
 # upper bound on the rows of one block of trees (and of its temporaries)
 _BLOCK_ROWS = 1 << 20
 # most rows per bincount in tree_stats and path_stats, whose temporaries take
@@ -206,10 +188,10 @@ def _tree_layout(n):
 def _tree_blocks(k, rows, layout, max_rows=_BLOCK_ROWS):
     """Packed rows of the size-k trees, from rows[i] for every i < k.
 
-    Yields blocks of at most max_rows rows whose concatenation is in
-    enumerate_trees order: left-subtree size, then left index, then
-    right index.  Node(x, y)'s row is s + join[code field of s] with
-    s = row x + row y, one table lookup however many fields a row has.
+    Yields blocks of at most max_rows rows whose concatenation is ordered
+    by left-subtree size, then left index, then right index.  Node(x, y)'s
+    row is s + join[code field of s] with s = row x + row y, one table
+    lookup however many fields a row has.
     """
     fields, join = layout
     mask = fields[0][1]  # the register code is the lowest field
@@ -226,9 +208,10 @@ def _tree_blocks(k, rows, layout, max_rows=_BLOCK_ROWS):
 
 
 def _tree_tables(n, layout):
-    """Packed rows of every tree of each size 0..n-1, in enumerate_trees
-    order: rows[k] holds one int32 per size-k tree.  Size 0, the leaf, is
-    always included: register 0 (code 1), one 0-branch, one branch in all."""
+    """Packed rows of every tree of each size 0..n-1, ordered by
+    left-subtree size, then left index, then right index: rows[k] holds
+    one int32 per size-k tree.  Size 0, the leaf, is always included:
+    register 0 (code 1), one 0-branch, one branch in all."""
     fields = layout[0]
     leaf = 1 + (1 << fields[1][0]) + (1 << fields[-1][0])
     rows = [np.array([leaf], dtype=np.int32)]

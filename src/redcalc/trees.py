@@ -21,9 +21,7 @@ __all__ = [
     "tree_size",
     "reduce_tree",
     "register",
-    "register_by_reduction",
     "branch_counts",
-    "cherry_count",
     "almost_complete",
 ]
 
@@ -216,15 +214,6 @@ def register(t):
     return _label_scan(t)[0]
 
 
-def register_by_reduction(t):
-    """Number of reductions until only a leaf remains; equals register(t)."""
-    steps = 0
-    while t is not LEAF:
-        t = reduce_tree(t)
-        steps += 1
-    return steps
-
-
 @dataclass(frozen=True)
 class BranchCounts:
     """Per-label counts of maximal equal-label chains."""
@@ -246,26 +235,6 @@ def branch_counts(t):
         counts[r] -= w
     assert len(counts) == root + 1 and counts[root] >= 1
     return BranchCounts(tuple(counts), sum(counts))
-
-
-def cherry_count(t):
-    """Internal nodes with two leaf children.
-
-    Each 1-branch ends in exactly one cherry, so this equals the number of
-    1-branches (asserted exhaustively in the tests).
-    """
-    count = 0
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if x is LEAF:
-            continue
-        if x.left is LEAF and x.right is LEAF:
-            count += 1
-        else:
-            stack.append(x.left)
-            stack.append(x.right)
-    return count
 
 
 def almost_complete(m):

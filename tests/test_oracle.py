@@ -16,7 +16,6 @@ from redcalc.oracle import (
     ScanStats,
     SeededGenerator,
     clt_check,
-    enumerate_trees,
     path_stats,
     sample_cherry_counts,
     sample_fringe_sizes,
@@ -31,7 +30,7 @@ from redcalc.trees import (
     register,
     tree_size,
 )
-from tree_generators import random_tree
+from tree_generators import enumerate_trees, random_tree
 
 
 def histogram(values):

@@ -10,25 +10,19 @@ from redcalc.trees import (
     Node,
     almost_complete,
     branch_counts,
-    cherry_count,
     format_tree,
     parse_tree,
     reduce_tree,
     register,
-    register_by_reduction,
     tree_size,
 )
-from tree_generators import chain_tree, random_tree
-
-
-def all_trees(n):
-    if n == 0:
-        yield LEAF
-        return
-    for i in range(n):
-        for left in all_trees(i):
-            for right in all_trees(n - 1 - i):
-                yield Node(left, right)
+from tree_generators import (
+    chain_tree,
+    cherry_count,
+    enumerate_trees,
+    random_tree,
+    register_by_reduction,
+)
 
 
 class TestParseFormat:
@@ -47,7 +41,7 @@ class TestParseFormat:
 
     def test_roundtrip_exhaustive(self):
         for n in range(6):
-            for t in all_trees(n):
+            for t in enumerate_trees(n):
                 assert parse_tree(format_tree(t)) == t
 
     @pytest.mark.parametrize(
@@ -110,7 +104,7 @@ class TestReduce:
 
     def test_size_decreases(self):
         for n in range(1, 8):
-            for t in all_trees(n):
+            for t in enumerate_trees(n):
                 assert tree_size(reduce_tree(t)) < n
 
 
@@ -125,12 +119,12 @@ class TestRegister:
 
     def test_matches_reduction_count_exhaustive(self):
         for n in range(1, 9):
-            for t in all_trees(n):
+            for t in enumerate_trees(n):
                 assert register(t) == register_by_reduction(t)
 
     def test_register_of_reduction_drops_by_one(self):
         for n in range(1, 9):
-            for t in all_trees(n):
+            for t in enumerate_trees(n):
                 assert register(reduce_tree(t)) == register(t) - 1
 
     def test_deep_chain(self):
@@ -155,17 +149,17 @@ class TestBranchCounts:
 
     def test_leaf_count_is_n_plus_one(self):
         for n in range(8):
-            for t in all_trees(n):
+            for t in enumerate_trees(n):
                 assert branch_counts(t).counts[0] == n + 1
 
     def test_top_label_has_single_branch(self):
         for n in range(1, 8):
-            for t in all_trees(n):
+            for t in enumerate_trees(n):
                 assert branch_counts(t).counts[-1] == 1
 
     def test_one_branches_are_cherries(self):
         for n in range(1, 9):
-            for t in all_trees(n):
+            for t in enumerate_trees(n):
                 bc = branch_counts(t)
                 ones = bc.counts[1] if len(bc.counts) > 1 else 0
                 assert ones == cherry_count(t)
@@ -173,7 +167,7 @@ class TestBranchCounts:
     def test_counts_survive_reduction(self):
         # reducing shifts every branch level down by one
         for n in range(1, 9):
-            for t in all_trees(n):
+            for t in enumerate_trees(n):
                 before = branch_counts(t).counts
                 if register(t) < 1:
                     continue
