@@ -50,12 +50,15 @@ def reference_tree_stats(n, r_max=None):
     """Per-Node scan over enumerate_trees, the object-level reference."""
     if r_max is None:
         r_max = max((n + 1).bit_length() - 1, 1)
-    counts = [branch_counts(t).counts for t in enumerate_trees(n)]
+    bcs = [branch_counts(t) for t in enumerate_trees(n)]
     return ScanStats(
         n,
-        histogram([len(c) - 1 for c in counts]),
-        [histogram([c[r] if r < len(c) else 0 for c in counts]) for r in range(r_max + 1)],
-        histogram([sum(c) for c in counts]),
+        histogram([len(bc.counts) - 1 for bc in bcs]),
+        [
+            histogram([bc.counts[r] if r < len(bc.counts) else 0 for bc in bcs])
+            for r in range(r_max + 1)
+        ],
+        histogram([bc.total for bc in bcs]),
     )
 
 
@@ -73,7 +76,10 @@ def reference_path_stats(n, r_max=None):
     return ScanStats(
         n,
         histogram([len(s) - 1 for s in sizes]),
-        [histogram([s[r] if r < len(s) else 0 for s in sizes]) for r in range(r_max + 1)],
+        [
+            histogram([s[r] if r < len(s) else 0 for s in sizes])
+            for r in range(r_max + 1)
+        ],
         histogram([sum(s) for s in sizes]),
     )
 

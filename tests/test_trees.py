@@ -7,7 +7,6 @@ from hypothesis import strategies
 from redcalc.errors import DomainError, ParseError
 from redcalc.trees import (
     LEAF,
-    Node,
     almost_complete,
     branch_counts,
     format_tree,
