@@ -12,6 +12,9 @@ The requests:
 - every --n quantity of ``cli.QUANTITIES`` with each --method and with
   --check, in both formats, at tree sizes 0..10 and path lengths -1..8,
   with --r in R_VALUES where the quantity takes one;
+- every --n quantity with --method exact, in both formats, at the
+  benchmark-sized n of LARGE_SIZES, with --r in LARGE_R_VALUES where the
+  quantity takes one;
 - every series family at --r 0..3 and the orders ORDERS, in both formats;
 - both figures on a small grid;
 - ``verify --quick``.
@@ -38,6 +41,8 @@ METHODS = (
     ["--check"],
 )
 FORMATS = ("human", "csv")
+LARGE_SIZES = (256, 1024)
+LARGE_R_VALUES = (1, 2, 3)
 
 
 def requests():
@@ -52,6 +57,17 @@ def requests():
                             "table", quantity, "--n", str(n), *r_arg, *method,
                             "--format", fmt,
                         ]
+    for quantity, spec in cli.QUANTITIES.items():
+        r_args = (
+            [["--r", str(r)] for r in LARGE_R_VALUES] if spec["takes_r"] else [[]]
+        )
+        for n in LARGE_SIZES:
+            for r_arg in r_args:
+                for fmt in FORMATS:
+                    yield [
+                        "table", quantity, "--n", str(n), *r_arg,
+                        "--method", "exact", "--format", fmt,
+                    ]
     for family in cli._SERIES_FAMILIES:
         for r in range(4):
             for order in ORDERS:
