@@ -8,7 +8,9 @@ Each closed form is a weighted sum, over k = step, 2 step, ..., of one
 binomial difference per k, and one kernel, ``_differences``, yields them:
 trees take the second difference of C(2n, n+1-k), paths the first
 difference of C(2n-1, n-k); step is 2^r for the per-r quantities and 1 for
-the totals.
+the totals.  The kernel computes each binomial of a call once, so the
+step-1 sums cost one binomial per term, not one per binomial of the
+difference.
 """
 
 import math
@@ -38,17 +40,21 @@ def _differences(m, j0, d, step):
     """Yield (k, Delta^d C(m, j0 - k)) for k = step, 2 step, ... <= j0.
 
     The d-th backward difference is expanded as
-    sum_i (-1)^i C(d, i) C(m, j0 - k - i), d + 1 binomials per term, with
-    C(m, j) = 0 outside 0 <= j <= m.
+    sum_i (-1)^i C(d, i) C(m, j0 - k - i), i = 0..d, with C(m, j) = 0
+    outside 0 <= j <= m.  Consecutive terms share d + 1 - step of these
+    binomials when step <= d, so the kernel keeps the last term's d + 1 in
+    a window and computes only the ones it lacks: each C(m, j) at most once
+    per call.
     """
     signed = [(-1) ** i * math.comb(d, i) for i in range(d + 1)]
+    window = []  # C(m, j0 - k - i) for i = 0..d at the previous k
     for k in range(step, j0 + 1, step):
-        delta = 0
-        for i, c in enumerate(signed):
-            j = j0 - k - i
-            if 0 <= j <= m:
-                delta += c * math.comb(m, j)
-        yield k, delta
+        j = j0 - k
+        window = window[step:]  # the binomials this term shares with the last
+        window += [
+            math.comb(m, j - i) if i <= j else 0 for i in range(len(window), d + 1)
+        ]
+        yield k, sum(c * b for c, b in zip(signed, window))
 
 
 def _tree_terms(n, step=1):
