@@ -21,8 +21,9 @@ which verify's cross-validation loops; verify writes out only the checks
 of what is no such quantity (the tree second moment and the register
 histogram).  A --method that is not one of the quantity's backends exits
 3 at every n.  A backend beyond its size cap (the oracle's enumeration
-cap, SERIES_N_CAP for the series) exits 5 when --method names it; table
---check leaves it out there.
+cap, SERIES_N_CAP for the series, EXACT_N_CAP for the binomial sums and the
+figure grids) exits 5 when --method names it; table --check leaves it out
+there.
 
 Every command runs in a fresh interpreter, so each request imports only
 the modules it uses beyond asym, which all of them load: tree loads trees,
@@ -53,9 +54,10 @@ from .errors import (
     ResourceCapError,
 )
 
-# largest n a figure grid may hold: exact.expected_total_branches takes
-# about 4 s at n = 4096 and grows about 6.5x per doubling of n
-FIGURE_N_CAP = 4096
+# largest n of the exact backend, in a table quantity and on a figure grid:
+# each step-1 sum (expected_total_branches, expected_rdeg, ...) takes about
+# 2.5 s at n = 4096 on a 2-vCPU sandbox and grows about 6.5x per doubling
+EXACT_N_CAP = 4096
 
 # largest n of a table quantity's series backend: branch_total_series
 # takes about 1.5 s at n = 128 and about 10x as long per doubling of n
@@ -316,7 +318,11 @@ def cmd_table(args):
         )
     # beyond its cap a backend exits 5 when --method names it, and --check
     # leaves it out
-    caps = {"oracle": (cap, enumeration), "series": (SERIES_N_CAP, "series backend")}
+    caps = {
+        "oracle": (cap, enumeration),
+        "series": (SERIES_N_CAP, "series backend"),
+        "exact": (EXACT_N_CAP, "exact backend"),
+    }
     for name, (limit, what) in caps.items():
         if n > limit and name in backends:
             if name == args.method:
@@ -377,13 +383,13 @@ def figure_rows(figure, x_min, x_max, points, terms):
     # 4^x is over the cap well before x_cap, so a larger x skips 4.0**x,
     # which overflows past x = 512, and so does the nan x that an
     # overflowing x_max - x_min gives
-    x_cap = math.log(FIGURE_N_CAP, 4.0) + 1.0
+    x_cap = math.log(EXACT_N_CAP, 4.0) + 1.0
     grid = []  # the whole grid is checked against the cap before any point
     for i in range(points):
         x = x_min + (x_max - x_min) * i / (points - 1)
         n = round(4.0**x) if x < x_cap else math.inf
-        if n > FIGURE_N_CAP:
-            raise ResourceCapError(f"figure grid capped at n = {FIGURE_N_CAP}")
+        if n > EXACT_N_CAP:
+            raise ResourceCapError(f"figure grid capped at n = {EXACT_N_CAP}")
         grid.append(n)
     spec = _FIGURES[figure]
     exact = QUANTITIES[spec["quantity"]]["backends"]["exact"]

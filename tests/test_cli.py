@@ -427,6 +427,33 @@ class TestTable:
             assert out == run(capsys, *argv, str(n + 1))[1]
 
     @pytest.mark.parametrize(
+        "quantity, value", [("rdeg-dist", {1: 4}), ("branches-total-mean", 3)]
+    )
+    def test_exact_beyond_cap_is_a_resource_cap(
+        self, capsys, monkeypatch, quantity, value
+    ):
+        n = cli.EXACT_N_CAP
+        assert n == 4096
+        reached = []
+
+        def exact_backend(n, r):
+            reached.append(n)
+            return value
+
+        monkeypatch.setitem(
+            cli.QUANTITIES[quantity]["backends"], "exact", exact_backend
+        )
+        # exact is the default method, and past its cap every other backend
+        # is capped too, so --check exits 5 as well
+        for method in ([], ["--method", "exact"], ["--check"]):
+            assert run(capsys, "table", quantity, "--n", str(n + 1), *method) == (
+                5, "", "redcalc: exact backend capped at n = 4096\n"
+            )
+        assert reached == []
+        code, _, err = run(capsys, "table", quantity, "--n", str(n))
+        assert (code, err, reached) == (0, "", [n])
+
+    @pytest.mark.parametrize(
         "quantity, r_args, want",
         [
             ("branches-total-mean", (), "n=4: exact=48/7, series=55/7, oracle=48/7"),
@@ -559,7 +586,7 @@ class TestFigure:
         monkeypatch.setitem(backends, "exact", counted)
         code, out, err = run(capsys, "figure", figure, "--x-max", "8")
         assert (code, out, calls) == (5, "", [])
-        assert err == f"redcalc: figure grid capped at n = {cli.FIGURE_N_CAP}\n"
+        assert err == f"redcalc: figure grid capped at n = {cli.EXACT_N_CAP}\n"
 
     @pytest.mark.parametrize("flag", ("--x-min", "--x-max"))
     @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
@@ -583,7 +610,7 @@ class TestFigure:
             f"--x-min={x_min}", f"--x-max={x_max}", "--points", "3",
         )
         assert (code, out) == (5, "")
-        assert err == f"redcalc: figure grid capped at n = {cli.FIGURE_N_CAP}\n"
+        assert err == f"redcalc: figure grid capped at n = {cli.EXACT_N_CAP}\n"
 
     def test_single_point_is_domain_error(self, capsys):
         code, out, err = run(
