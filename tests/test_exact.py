@@ -280,6 +280,63 @@ def test_huge_r_costs_no_more_than_a_small_one(quantity, zero):
     assert peak < 4096
 
 
+def _plain_differences(m, j0, d, step):
+    """The kernel's terms with d + 1 fresh binomials each."""
+    return [
+        (k, sum((-1) ** i * math.comb(d, i) * _comb(m, j0 - k - i) for i in range(d + 1)))
+        for k in range(step, j0 + 1, step)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    strategies.integers(min_value=0, max_value=300),
+    strategies.integers(min_value=0, max_value=310),
+    strategies.integers(min_value=0, max_value=3),
+    strategies.integers(min_value=1, max_value=5),
+)
+def test_differences_match_the_plain_sum(m, j0, d, step):
+    # step below, equal to and above d, and terms that reach j < 0 or j > m
+    got = list(exact._differences(m, j0, d, step))
+    assert got == _plain_differences(m, j0, d, step)
+
+
+@pytest.fixture
+def comb_calls(monkeypatch):
+    """A list that gets one entry per math.comb call."""
+    calls = []
+    comb = math.comb
+
+    def counted(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "quantity, most",
+    # d + 1 binomials per term would take 6004 and 4001 calls
+    [(exact.expected_total_branches, 2005), (exact.expected_rdeg, 2002)],
+)
+def test_step_one_sums_take_one_binomial_per_term(comb_calls, quantity, most):
+    quantity(2000)
+    assert len(comb_calls) <= most
+
+
+def test_binomials_are_not_kept_as_a_table():
+    # the 2001 binomials of C(4000, .) take about 1 MB together
+    exact.expected_total_branches(50)
+    tracemalloc.start()
+    try:
+        exact.expected_total_branches(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024
+
+
 class TestDomains:
     def test_negative_inputs(self):
         with pytest.raises(DomainError):
