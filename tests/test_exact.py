@@ -283,7 +283,9 @@ def test_huge_r_costs_no_more_than_a_small_one(quantity, zero):
 def _plain_differences(m, j0, d, step):
     """The kernel's terms with d + 1 fresh binomials each."""
     return [
-        (k, sum((-1) ** i * math.comb(d, i) * _comb(m, j0 - k - i) for i in range(d + 1)))
+        (k, sum(
+            (-1) ** i * math.comb(d, i) * _comb(m, j0 - k - i) for i in range(d + 1)
+        ))
         for k in range(step, j0 + 1, step)
     ]
 
