@@ -17,7 +17,11 @@ The requests:
   quantity takes one;
 - every series family at --r 0..3 and the orders ORDERS, in both formats;
 - both figures on a small grid;
-- ``verify --quick``.
+- ``verify --quick``;
+- every tree and path action on the literals of TREES and PATHS, the
+  last of each malformed;
+- every quantity with an asymptotic method at the n of ASYMPTOTIC_SIZES,
+  with --terms 1, the default and 400.
 """
 
 import contextlib
@@ -43,6 +47,17 @@ METHODS = (
 FORMATS = ("human", "csv")
 LARGE_SIZES = (256, 1024)
 LARGE_R_VALUES = (1, 2, 3)
+TREES = (
+    ".",
+    "(. .)",
+    "((. .) (. .))",
+    "(((. .) .) (. (. .)))",
+    "((((. .) (. .)) ((. .) (. .))) (. ((. .) .)))",
+    "(. .",
+)
+PATHS = ("R", "RRUD", "RRUDLL", "URDLURDL", "RRRUUULLLDDDRURD", "RXU")
+ASYMPTOTIC_SIZES = (64, 1000)
+TERMS = (["--terms", "1"], [], ["--terms", "400"])
 
 
 def requests():
@@ -79,6 +94,21 @@ def requests():
     for figure in cli._FIGURES:
         yield ["figure", figure, "--x-max", "3.0", "--points", "7"]
     yield ["verify", "--quick"]
+    for tree in TREES:
+        for action in ("reduce", "register", "branches"):
+            yield ["tree", action, tree]
+    for path in PATHS:
+        for action in ("reduce", "rdeg", "fringes"):
+            yield ["path", action, path]
+    for quantity, spec in cli.QUANTITIES.items():
+        if "asymptotic" not in spec or spec["takes_r"]:
+            continue
+        for n in ASYMPTOTIC_SIZES:
+            for terms in TERMS:
+                yield [
+                    "table", quantity, "--n", str(n), "--method", "asymptotic",
+                    *terms,
+                ]
 
 
 def digest(argv):

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import mpmath as mp
@@ -167,3 +168,71 @@ class TestZeta:
         for s in (2.5, 0.3 + 4j, -0.2 + 9j):
             fd = (zeta_c(s + h) - zeta_c(s - h)) / (2 * h)
             assert abs(zeta_c(s, 1) - fd) < 1e-6
+
+
+def _digest(values):
+    """sha256 (first 32 hex digits) of the space-joined float.hex of the
+    real and imaginary parts of values."""
+    text = " ".join(p.hex() for c in values for p in (c.real, c.imag))
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+def _chi(k):
+    return 2j * math.pi * k / math.log(2.0)
+
+
+class TestBitPins:
+    """Bit patterns of zeta_c, digamma_c and the Bernoulli weights, recorded
+    with float.hex; a refactor of special must leave every one unchanged."""
+
+    # the arguments of zeta in the Fourier coefficients, s = chi_k - 1,
+    # 2 - chi_k and 1 + chi_k, and real points on both sides of Re s = -0.5
+    ZETA_POINTS = [
+        s
+        for k in (1, 20, 105)
+        for s in (_chi(k) - 1, 2 - _chi(k), 1 + _chi(k))
+    ] + [-3.5, -1.0, -0.75, -0.5, -0.25, 0.0, 0.5, 3.0]
+
+    # order -> digest of zeta_c(s, order) over ZETA_POINTS
+    ZETA = {
+        0: "af57c2dac7cd294817633bdb2a50350c",
+        1: "01c6bbe001dc5b5d2fe97e95a426b959",
+        2: "c0f3e03e91b5bea7aa9012be4d5b7311",
+    }
+
+    DIGAMMA_POINTS = [1 + _chi(1) / 2, 2 + _chi(20), 1 + _chi(105) / 2, -2.5, 0.5, 7.0]
+    DIGAMMA = "7a0ada1fbce39c29e7a2113909bbf254"
+
+    # B_2j/(2j)!, j = 1..15, the Euler-Maclaurin weights of zeta
+    EM_WEIGHTS = (
+        "0x1.5555555555555p-4", "-0x1.6c16c16c16c17p-10",
+        "0x1.1566abc011567p-15", "-0x1.bbd779334ef0bp-21",
+        "0x1.66a8f2bf70ebep-26", "-0x1.22805d644267fp-31",
+        "0x1.d6db2c4e09162p-37", "-0x1.7da4e1f79955cp-42",
+        "0x1.355871d652e9ep-47", "-0x1.f57d968caacf1p-53",
+        "0x1.967e1f09c376fp-58", "-0x1.497d9033a2b5cp-63",
+        "0x1.0b132d7c6ad06p-68", "-0x1.b0f72d59f1c16p-74",
+        "0x1.5ef2da4cca26dp-79",
+    )
+
+    # B_2j, j = 1..8, the weights of digamma's asymptotic series
+    DIGAMMA_WEIGHTS = (
+        "0x1.5555555555555p-3", "-0x1.1111111111111p-5",
+        "0x1.8618618618618p-6", "-0x1.1111111111111p-5",
+        "0x1.364d9364d9365p-4", "-0x1.0330330330330p-2",
+        "0x1.2aaaaaaaaaaabp+0", "-0x1.c5e5e5e5e5e5ep+2",
+    )
+
+    @pytest.mark.parametrize("order", sorted(ZETA))
+    def test_zeta(self, order):
+        got = [zeta_c(s, order) for s in self.ZETA_POINTS]
+        assert _digest(got) == self.ZETA[order]
+
+    def test_digamma(self):
+        assert _digest(digamma_c(s) for s in self.DIGAMMA_POINTS) == self.DIGAMMA
+
+    def test_bernoulli_weights(self):
+        em = [float(bernoulli(2 * j) / math.factorial(2 * j)) for j in range(1, 16)]
+        assert tuple(w.hex() for w in em) == self.EM_WEIGHTS
+        plain = [float(bernoulli(2 * j)) for j in range(1, 9)]
+        assert tuple(w.hex() for w in plain) == self.DIGAMMA_WEIGHTS
