@@ -42,7 +42,6 @@ import argparse
 import functools
 import math
 import sys
-from fractions import Fraction
 
 from . import asym
 from .errors import (
@@ -99,8 +98,16 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _fraction(numerator, denominator=1):
+    """Fraction(numerator, denominator), with fractions imported on first
+    use: the asymptotic, tree and path requests print no rational."""
+    from fractions import Fraction
+
+    return Fraction(numerator, denominator)
+
+
 def _fmt_rational(q):
-    q = Fraction(q)
+    q = _fraction(q)
     if q.denominator == 1:
         return f"{q.numerator}"
     return f"{q.numerator}/{q.denominator} ({float(q):.10g})"
@@ -182,7 +189,7 @@ QUANTITIES = {
         objects="trees",
         backends=dict(
             exact=lambda n, r: _exact().expected_r_branches(n, r),
-            series=lambda n, r: Fraction(
+            series=lambda n, r: _fraction(
                 _series().f1_series(r, max(n, 1))[n], _series().catalan(n)
             ),
         ),
@@ -194,7 +201,7 @@ QUANTITIES = {
         objects="trees",
         backends=dict(
             exact=lambda n, r: _exact().expected_total_branches(n),
-            series=lambda n, r: Fraction(
+            series=lambda n, r: _fraction(
                 _series().branch_total_series(max(n, 1))[n], _series().catalan(n)
             ),
         ),
@@ -232,7 +239,7 @@ QUANTITIES = {
         objects="paths",
         backends=dict(
             exact=lambda n, r: _exact().expected_fringe(n, r),
-            series=lambda n, r: Fraction(
+            series=lambda n, r: _fraction(
                 _series().h_r_bivariate(r, max(n, 1)).eval_moment("first")[n], 4**n
             ),
         ),

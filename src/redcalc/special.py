@@ -4,11 +4,16 @@ Hand-rolled, double precision, targeting absolute error around 1e-10 on the
 vertical lines used by the periodic fluctuations (|Im s| up to roughly 200).
 All intermediate quantities with exponential growth are kept in log space so
 nothing overflows on the way.
+
+The Bernoulli weights of zeta's Euler-Maclaurin correction and of
+digamma's asymptotic series are float literals, like the Lanczos table,
+and zeta alone sums no derivative terms, so the Fourier coefficients of the
+fluctuations import no fractions: only bernoulli, the exact B_m as a
+Fraction, does, when it is called.
 """
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
@@ -47,6 +52,39 @@ _LANCZOS_C = (
 )
 
 _LOG_SQRT_2PI = 0.9189385332046727418
+
+# B_2j/(2j)! for j = 1..15, the Euler-Maclaurin correction weights of zeta:
+# float(bernoulli(2 * j) / math.factorial(2 * j)), bit for bit
+_EM_WEIGHTS = (
+    0.08333333333333333,
+    -0.001388888888888889,
+    3.306878306878307e-05,
+    -8.267195767195768e-07,
+    2.08767569878681e-08,
+    -5.284190138687493e-10,
+    1.3382536530684679e-11,
+    -3.3896802963225827e-13,
+    8.586062056277845e-15,
+    -2.174868698558062e-16,
+    5.5090028283602295e-18,
+    -1.3954464685812522e-19,
+    3.534707039629467e-21,
+    -8.953517427037546e-23,
+    2.267952452337683e-24,
+)
+
+# B_2j for j = 1..8, the weights of digamma's asymptotic series:
+# float(bernoulli(2 * j)), bit for bit
+_B_EVEN = (
+    0.16666666666666666,
+    -0.03333333333333333,
+    0.023809523809523808,
+    -0.03333333333333333,
+    0.07575757575757576,
+    -0.2531135531135531,
+    1.1666666666666667,
+    -7.092156862745098,
+)
 
 
 def _is_nonpositive_int(s):
@@ -109,8 +147,8 @@ def digamma_c(s):
     inv2 = 1.0 / (s * s)
     term = inv2
     tail = 0.0 + 0.0j
-    for j in range(1, 9):
-        tail += float(bernoulli(2 * j)) / (2 * j) * term
+    for j, b in enumerate(_B_EVEN, start=1):
+        tail += b / (2 * j) * term
         term *= inv2
     return acc + cmath.log(s) - 0.5 / s - tail
 
@@ -118,6 +156,8 @@ def digamma_c(s):
 @lru_cache(maxsize=None)
 def bernoulli(m):
     """Exact Bernoulli number B_m (B_1 = -1/2), as a Fraction."""
+    from fractions import Fraction
+
     if m == 0:
         return Fraction(1)
     if m > 1 and m % 2:
@@ -130,56 +170,55 @@ def bernoulli(m):
     return -acc / (m + 1)
 
 
-@lru_cache(maxsize=None)
-def _em_weights():
-    """B_{2j}/(2j)! for j = 1..15, the Euler-Maclaurin correction weights;
-    built on first use, not on every zeta call."""
-    return tuple(
-        float(bernoulli(2 * j) / math.factorial(2 * j)) for j in range(1, 16)
-    )
-
-
 def _zeta_em(s, order):
-    """Euler-Maclaurin with termwise derivatives; good for Re(s) > -0.5."""
+    """Euler-Maclaurin with termwise derivatives; good for Re(s) > -0.5.
+    Order 0 skips the derivative terms; z0 takes the same operations in the
+    same order at every order, so it has the same bits."""
     big_n = max(30, int(1.2 * abs(s.imag)) + 1)
     # direct terms k^{-s}; derivatives bring down factors of -log k
     z0 = 0.0 + 0.0j
     z1 = 0.0 + 0.0j
     z2 = 0.0 + 0.0j
-    for k in range(1, big_n):
-        lk = math.log(k)
-        p = cmath.exp(-s * lk)
-        z0 += p
-        z1 -= lk * p
-        z2 += lk * lk * p
+    if order == 0:
+        for k in range(1, big_n):
+            z0 += cmath.exp(-s * math.log(k))
+    else:
+        for k in range(1, big_n):
+            lk = math.log(k)
+            p = cmath.exp(-s * lk)
+            z0 += p
+            z1 -= lk * p
+            z2 += lk * lk * p
     ln = math.log(big_n)
     npow = cmath.exp(-s * ln)  # N^{-s}
-    # tail integral N^{1-s}/(s-1)
+    # tail integral N^{1-s}/(s-1), then boundary term N^{-s}/2
     inv = 1.0 / (s - 1.0)
     t = big_n * npow * inv
     z0 += t
-    z1 += t * (-ln - inv)
-    z2 += t * (ln * ln + 2.0 * ln * inv + 2.0 * inv * inv)
-    # boundary term N^{-s}/2
     z0 += 0.5 * npow
-    z1 -= 0.5 * ln * npow
-    z2 += 0.5 * ln * ln * npow
+    if order:
+        z1 += t * (-ln - inv)
+        z1 -= 0.5 * ln * npow
+        z2 += t * (ln * ln + 2.0 * ln * inv + 2.0 * inv * inv)
+        z2 += 0.5 * ln * ln * npow
     # Bernoulli corrections B_{2j}/(2j)! * (s)_{2j-1} * N^{-s-2j+1}
     p, p1, p2 = 1.0 + 0.0j, 0.0j, 0.0j  # Pochhammer product and derivatives
     scale = float(big_n)  # N^{1-2j} deficit relative to npow, built up stepwise
-    for j, weight in enumerate(_em_weights(), start=1):
+    for j, weight in enumerate(_EM_WEIGHTS, start=1):
         for i in (2 * j - 3, 2 * j - 2):
             if i < 0:
                 continue
             f = s + i
-            p2 = p2 * f + 2.0 * p1
-            p1 = p1 * f + p
+            if order:
+                p2 = p2 * f + 2.0 * p1
+                p1 = p1 * f + p
             p = p * f
         scale /= big_n * big_n
         base = weight * scale * npow
         z0 += base * p
-        z1 += base * (p1 - ln * p)
-        z2 += base * (p2 - 2.0 * ln * p1 + ln * ln * p)
+        if order:
+            z1 += base * (p1 - ln * p)
+            z2 += base * (p2 - 2.0 * ln * p1 + ln * ln * p)
     if order == 0:
         return z0
     if order == 1:

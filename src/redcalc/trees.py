@@ -8,7 +8,7 @@ space between the children.  The format is canonical, so formatted output
 can be compared byte for byte.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, ParseError
 
@@ -214,12 +214,14 @@ def register(t):
     return _label_scan(t)[0]
 
 
-@dataclass(frozen=True)
-class BranchCounts:
-    """Per-label counts of maximal equal-label chains."""
+# a namedtuple rather than a dataclass, with the same fields, equality and
+# repr, immutable too: importing dataclasses also imports inspect, most of
+# the cold start of a tree request
+class BranchCounts(namedtuple("BranchCounts", "counts total")):
+    """Per-label counts of maximal equal-label chains: counts[r] is the
+    number of r-branches, r = 0..register, and total their sum."""
 
-    counts: tuple  # counts[r] = number of r-branches, r = 0..register
-    total: int
+    __slots__ = ()
 
 
 def branch_counts(t):

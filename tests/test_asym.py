@@ -3,6 +3,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from redcalc import asym, exact, oracle, series
@@ -24,6 +25,34 @@ class TestSubstitutionMaps:
             order, {2 * k: (-1) ** (k - 1) * k for k in range(1, order // 2 + 1)}
         )
         assert series.sigma_series(order).compose(z_u) == z_u2
+
+
+def _mp_zeta(s, derivative=0):
+    # mpmath's default method takes zeta(s) from the alternating series
+    # over 1 - 2^(1-s), which vanishes at s = 1 + chi_k and costs about six
+    # of the 30 digits there; Euler-Maclaurin keeps them
+    return mpmath.zeta(s, 1, derivative, method="euler-maclaurin")
+
+
+def _mp_coeff(family, k):
+    """asym._coeff(family, k) in mpmath, at its working precision."""
+    log2, sqrt_pi = mpmath.log(2), mpmath.sqrt(mpmath.pi)
+    x = 2j * mpmath.pi * k / log2
+    g = mpmath.gamma((3 + x) / 2)
+    c = 2 / (sqrt_pi * log2**2) * g * _mp_zeta(1 + x)
+    if family == "branches-total":
+        return mpmath.gamma(x / 2) * _mp_zeta(x - 1) * (x - 1) / log2
+    if family == "rdeg-mean":
+        return log2 * c
+    if family == "rdeg-var":
+        d = (
+            4 / (sqrt_pi * log2**2)
+            * g
+            * (mpmath.digamma(2 + x) * _mp_zeta(1 + x) + _mp_zeta(1 + x, 1))
+            - 3 * c * log2
+        )
+        return d - c * mpmath.digamma(1 + x / 2)
+    return 2 / (3 * sqrt_pi * log2) * g * (2 * _mp_zeta(x - 1) + _mp_zeta(x + 1))
 
 
 class TestFluctuations:
@@ -72,6 +101,14 @@ class TestFluctuations:
         reference = asym.FluctuationSpec(family, 400, tuple(full))
         for x in (0.0, 0.3, 0.77):
             assert f(x).hex() == reference(x).hex()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_coefficients_match_mpmath(self, family):
+        # special's target is an absolute error of about 1e-10
+        coeffs = asym.fluctuation(family, 20).coeffs
+        with mpmath.workdps(30):
+            want = [complex(_mp_coeff(family, k)) for k in range(1, 21)]
+        assert max(abs(c - w) for c, w in zip(coeffs, want, strict=True)) < 1e-10
 
     def test_coefficients_cached(self):
         assert asym.fluctuation("rdeg-mean", 20) is asym.fluctuation("rdeg-mean", 20)

@@ -840,6 +840,8 @@ _ASYMPTOTIC = (
     "table", "branches-total-mean", "--n", "1024",
     "--method", "asymptotic", "--threads", "1",
 )
+_TREE = ("tree", "register", "((. .) (. .))")
+_PATH = ("path", "rdeg", "RRUDLL")
 
 # request -> the optional modules it loads
 _COLD_REQUESTS = {
@@ -849,8 +851,8 @@ _COLD_REQUESTS = {
         ["redcalc.series"],
     _ASYMPTOTIC: [],
     ("figure", "branches-fluctuation"): ["redcalc.exact"],
-    ("tree", "register", "((. .) (. .))"): ["redcalc.trees"],
-    ("path", "rdeg", "RRUDLL"): ["redcalc.paths"],
+    _TREE: ["redcalc.trees"],
+    _PATH: ["redcalc.paths"],
 }
 
 
@@ -870,6 +872,17 @@ class TestColdStart:
         code, _, _, loaded = run_fresh(*_ASYMPTOTIC)
         assert code == 0
         assert "dataclasses" not in loaded and "inspect" not in loaded
+
+    def test_tree_request_skips_dataclasses(self):
+        code, _, _, loaded = run_fresh(*_TREE)
+        assert code == 0
+        assert "dataclasses" not in loaded and "inspect" not in loaded
+
+    @pytest.mark.parametrize("argv", (_ASYMPTOTIC, _TREE, _PATH))
+    def test_no_rationals_where_none_is_printed(self, argv):
+        code, _, _, loaded = run_fresh(*argv)
+        assert code == 0
+        assert not {"fractions", "decimal", "numbers"} & set(loaded)
 
     def test_package_import_loads_only_errors(self):
         loaded, missing = _fresh(_IMPORT_CHILD)

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import pytest
 
+from redcalc import special
 from redcalc.errors import DomainError
 from redcalc.special import (
     EULER_GAMMA,
@@ -236,3 +237,7 @@ class TestBitPins:
         assert tuple(w.hex() for w in em) == self.EM_WEIGHTS
         plain = [float(bernoulli(2 * j)) for j in range(1, 9)]
         assert tuple(w.hex() for w in plain) == self.DIGAMMA_WEIGHTS
+
+    def test_literal_weights(self):
+        assert tuple(w.hex() for w in special._EM_WEIGHTS) == self.EM_WEIGHTS
+        assert tuple(w.hex() for w in special._B_EVEN) == self.DIGAMMA_WEIGHTS

@@ -7,6 +7,7 @@ from hypothesis import strategies
 from redcalc.errors import DomainError, ParseError
 from redcalc.trees import (
     LEAF,
+    BranchCounts,
     almost_complete,
     branch_counts,
     format_tree,
@@ -145,6 +146,14 @@ class TestBranchCounts:
         bc = branch_counts(parse_tree("(. .)"))
         assert bc.counts == (2, 1)
         assert bc.total == 3
+
+    def test_record_keeps_fields_repr_and_immutability(self):
+        bc = branch_counts(parse_tree("((. .) .)"))
+        assert repr(bc) == "BranchCounts(counts=(3, 1), total=4)"
+        assert bc == BranchCounts((3, 1), 4)
+        assert bc != BranchCounts((3, 1), 5)
+        with pytest.raises(AttributeError):
+            bc.total = 0
 
     def test_leaf_count_is_n_plus_one(self):
         for n in range(8):
