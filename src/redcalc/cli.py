@@ -32,7 +32,10 @@ names (series for series-coefficients, none for the asymptotic method),
 table --check every applicable backend, and verify the verify module and
 with it all of them.  Only the requests that enumerate or sample (table
 --method oracle, table --check, verify) import the oracle and with it
-numpy.
+numpy.  fractions is imported by exact and the oracle, and here only
+where a series mean or a printed mean first makes a Fraction: tree, path,
+series-coefficients and table --method asymptotic load none of
+fractions, decimal and numbers, and only the oracle imports dataclasses.
 
 The argument parser is built once per process and reused by every later
 call of main in it.
