@@ -8,9 +8,10 @@ Each closed form is a weighted sum, over k = step, 2 step, ..., of one
 binomial difference per k, and one kernel, ``_differences``, yields them:
 trees take the second difference of C(2n, n+1-k), paths the first
 difference of C(2n-1, n-k); step is 2^r for the per-r quantities and 1 for
-the totals.  The kernel computes each binomial of a call once, so the
-step-1 sums cost one binomial per term, not one per binomial of the
-difference.
+the totals.  The kernel computes one binomial per term, whatever the step,
+and turns it into the term's difference with small-integer arithmetic and
+one exact division, so every sum costs one binomial per term, not one per
+binomial of the difference.
 """
 
 import math
@@ -39,22 +40,35 @@ def v2(k):
 def _differences(m, j0, d, step):
     """Yield (k, Delta^d C(m, j0 - k)) for k = step, 2 step, ... <= j0.
 
-    The d-th backward difference is expanded as
-    sum_i (-1)^i C(d, i) C(m, j0 - k - i), i = 0..d, with C(m, j) = 0
-    outside 0 <= j <= m.  Consecutive terms share d + 1 - step of these
-    binomials when step <= d, so the kernel keeps the last term's d + 1 in
-    a window and computes only the ones it lacks: each C(m, j) at most once
-    per call.
+    The d-th backward difference is
+    sum_i (-1)^i C(d, i) C(m, j - i), i = 0..d, with j = j0 - k and
+    C(m, j) = 0 outside 0 <= j <= m.  Each term computes one binomial,
+    C(m, t) with t = min(j, m), the highest index of the difference that
+    can be nonzero, and reaches the others by the falling factorial [t]_u:
+    C(m, t - u) = C(m, t) [t]_u / ((m-t+1) ... (m-t+u)), which is 0 below
+    index 0.  Over the common denominator (m-t+1) ... (m-t+e), with
+    e = d - (j - t) the number of binomials below index t, the difference
+    is C(m, t) times a small integer, divided exactly by that denominator.
+    No term derives its binomial from another term's.
     """
-    signed = [(-1) ** i * math.comb(d, i) for i in range(d + 1)]
-    window = []  # C(m, j0 - k - i) for i = 0..d at the previous k
+    signed = [1]  # (-1)^i C(d, i), i = 0..d
+    for i in range(d):
+        signed.append(-signed[i] * (d - i) // (i + 1))
     for k in range(step, j0 + 1, step):
         j = j0 - k
-        window = window[step:]  # the binomials this term shares with the last
-        window += [
-            math.comb(m, j - i) if i <= j else 0 for i in range(len(window), d + 1)
-        ]
-        yield k, sum(c * b for c, b in zip(signed, window))
+        t = min(j, m)
+        above = j - t  # the first `above` binomials have index above m
+        if above > d:
+            yield k, 0
+            continue
+        # Horner from u = e down to 0 of
+        # sum_u signed[above + u] [t]_u / ((m-t+1) ... (m-t+u)) = num / den
+        num, den = signed[d], 1
+        for u in range(d - above - 1, -1, -1):
+            f = m - t + u + 1
+            num = signed[above + u] * den * f + num * (t - u)
+            den *= f
+        yield k, math.comb(m, t) * num // den
 
 
 def _tree_terms(n, step=1):

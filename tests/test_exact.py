@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies
 
 from redcalc import exact, series
@@ -297,6 +297,14 @@ def _plain_differences(m, j0, d, step):
     strategies.integers(min_value=0, max_value=3),
     strategies.integers(min_value=1, max_value=5),
 )
+@example(m=0, j0=5, d=2, step=1)  # m = 0: only C(0, 0) is nonzero
+@example(m=0, j0=0, d=3, step=1)  # no term at all
+@example(m=40, j0=37, d=0, step=3)  # d = 0: the binomials themselves
+@example(m=10, j0=13, d=3, step=1)  # j = 12, 11 > m: C(m, j) = 0, not its neighbours
+@example(m=10, j0=16, d=3, step=2)  # j = 14 > m + d: every binomial is 0
+@example(m=10, j0=15, d=2, step=3)  # j = 12 = m + d: only the last binomial
+@example(m=9, j0=9, d=3, step=4)  # j = 5, 1: j - d < 0 at j = 1
+@example(m=300, j0=2, d=3, step=1)  # j = 1, 0: [t]_u = 0 from u = t + 1
 def test_differences_match_the_plain_sum(m, j0, d, step):
     # step below, equal to and above d, and terms that reach j < 0 or j > m
     got = list(exact._differences(m, j0, d, step))
@@ -325,6 +333,25 @@ def comb_calls(monkeypatch):
 def test_step_one_sums_take_one_binomial_per_term(comb_calls, quantity, most):
     quantity(2000)
     assert len(comb_calls) <= most
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize(
+    "quantity, terms",
+    # the term counts of perfbench's exact.terms counter: k = 2^r, 2 2^r, ...
+    # up to n + 1 for trees and n for paths
+    [
+        (exact.expected_r_branches, lambda n, r: (n + 1) >> r),
+        (exact.expected_fringe, lambda n, r: n >> r),
+        (exact.count_paths_rdeg, lambda n, r: n >> r),
+    ],
+    ids=["expected_r_branches", "expected_fringe", "count_paths_rdeg"],
+)
+def test_every_sum_takes_one_binomial_per_term(comb_calls, quantity, terms, r):
+    # d + 1 binomials per term, or d + 1 - step shared with the last term,
+    # would take two or three calls a term
+    quantity(2000, r)
+    assert len(comb_calls) <= terms(2000, r) + 2
 
 
 def test_binomials_are_not_kept_as_a_table():
