@@ -347,7 +347,7 @@ def test_step_one_sums_take_one_binomial_per_term(comb_calls, quantity, most):
     ],
     ids=["expected_r_branches", "expected_fringe", "count_paths_rdeg"],
 )
-def test_every_sum_takes_one_binomial_per_term(comb_calls, quantity, terms, r):
+def test_per_r_sums_take_one_binomial_per_term(comb_calls, quantity, terms, r):
     # d + 1 binomials per term, or d + 1 - step shared with the last term,
     # would take two or three calls a term
     quantity(2000, r)
