@@ -193,7 +193,7 @@ QUANTITIES = {
         backends=dict(
             exact=lambda n, r: _exact().expected_r_branches(n, r),
             series=lambda n, r: _fraction(
-                _series().f1_series(r, max(n, 1))[n], _series().catalan(n)
+                _series().f1_series(r, n)[n], _series().catalan(n)
             ),
         ),
         read=lambda st, r: st.per_r[r].mean(),
@@ -205,7 +205,7 @@ QUANTITIES = {
         backends=dict(
             exact=lambda n, r: _exact().expected_total_branches(n),
             series=lambda n, r: _fraction(
-                _series().branch_total_series(max(n, 1))[n], _series().catalan(n)
+                _series().branch_total_series(n)[n], _series().catalan(n)
             ),
         ),
         read=lambda st, r: st.total.mean(),
@@ -220,13 +220,7 @@ QUANTITIES = {
                 for k in range(max(n.bit_length() - 1, 1) + 1)
                 if (c := _exact().count_paths_rdeg(n, k))
             },
-            # 4^(k+1) [z^n] sigma_k, off one pass of sigma's stages; a
-            # length-n path reduces at most n.bit_length() - 1 times
-            series=lambda n, r: {
-                k: c
-                for k, s in enumerate(_series()._stages("sigma", n.bit_length() - 1, n))
-                if (c := 4 ** (k + 1) * s[n])
-            },
+            series=lambda n, r: _series().rdeg_counts(n),
         ),
         read=lambda st, r: {k: c for k, c in enumerate(st.degree) if c},
     ),
@@ -243,7 +237,7 @@ QUANTITIES = {
         backends=dict(
             exact=lambda n, r: _exact().expected_fringe(n, r),
             series=lambda n, r: _fraction(
-                _series().h_r_bivariate(r, max(n, 1)).eval_moment("first")[n], 4**n
+                _series().h_r_bivariate(r, n).moment(1)[n], 4**n
             ),
         ),
         read=lambda st, r: st.per_r[r].mean(),

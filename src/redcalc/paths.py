@@ -16,7 +16,6 @@ __all__ = [
     "parse_path",
     "reduce_path",
     "rdeg",
-    "fringe",
     "fringe_sizes",
     "extremal_path",
 ]
@@ -67,18 +66,6 @@ def rdeg(p):
         p = reduce_path(p)
         steps += 1
     return steps
-
-
-def fringe(p, r):
-    """The r-fold reduction, or None if the path cannot be reduced r times.
-
-    A None result stands for a fringe of size 0.
-    """
-    for _ in range(r):
-        if len(p) == 1:
-            return None
-        p = reduce_path(p)
-    return p
 
 
 def fringe_sizes(p):

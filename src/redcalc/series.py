@@ -5,12 +5,14 @@ register-bounded tree series, the branch moment series, the reduction-degree
 path series and the bivariate fringe series.  The tree families and the
 iterates sigma_r of sigma(z) = z^2/(1-2z)^2 each solve one functional
 equation f_{r+1} = a + b * f_r(sigma), so one stage engine, ``_stages``,
-computes them all from a table of (seed, a, b) entries; every public
-function reads its result off the stages of one pass.  The path families
-are read off sigma's stages: L_r = sum_{k <= r} 4^(k+1) sigma_k, and the
-bivariate fringe series H_r, stored as one TruncatedSeries per v-degree,
-has [v^m] H_r = 4^(r+m) sigma_r^m, so the fringe moments are H_r's
-moments in v.  No floating point is used in this module.
+computes them all from one table that gives each family's f_0, a and b by
+their closed-form coefficients; every public function reads its result off
+the stages of one pass.  The path families are read off sigma's stages:
+L_r = sum_{k <= r} 4^(k+1) sigma_k, the reduction-degree counts of
+``rdeg_counts`` are 4^(k+1) [z^n] sigma_k, and the bivariate fringe series
+H_r, stored as one TruncatedSeries per v-degree, has [v^m] H_r =
+4^(r+m) sigma_r^m, so the fringe moments are H_r's moments in v.  No
+floating point is used in this module.
 """
 
 import math
@@ -22,13 +24,13 @@ __all__ = [
     "BivariateSeries",
     "sigma_series",
     "sigma_iterate",
-    "base_series",
     "b_r_series",
     "b_r_equal_series",
     "f1_series",
     "f2_series",
     "l_r_series",
     "l_r_equal_series",
+    "rdeg_counts",
     "branch_total_series",
     "h_r_bivariate",
     "catalan",
@@ -47,24 +49,12 @@ class TruncatedSeries:
     def __init__(self, coeffs):
         self.c = tuple(coeffs)
 
-    @classmethod
-    def from_terms(cls, order, terms):
-        """Build from {exponent: coefficient}, zero elsewhere."""
-        c = [0] * (order + 1)
-        for k, v in terms.items():
-            if 0 <= k <= order:
-                c[k] = v
-        return cls(c)
-
     @property
     def order(self):
         return len(self.c) - 1
 
     def __getitem__(self, n):
         return self.c[n]
-
-    def __len__(self):
-        return len(self.c)
 
     def __eq__(self, other):
         return isinstance(other, TruncatedSeries) and self.c == other.c
@@ -127,14 +117,6 @@ class TruncatedSeries:
         return out
 
 
-def _one(order):
-    return TruncatedSeries.from_terms(order, {0: 1})
-
-
-def _z(order):
-    return TruncatedSeries.from_terms(order, {1: 1})
-
-
 def _zero(order):
     return TruncatedSeries([0] * (order + 1))
 
@@ -147,43 +129,18 @@ def sigma_series(order):
     return TruncatedSeries(c)
 
 
-_BASE_NAMES = ("catalan_B", "inv_sqrt_1m4z", "F0_second", "chain_C", "L_all")
-
-
-def base_series(name, order):
-    """Seed series with known closed-form integer coefficients."""
-    c = [0] * (order + 1)
-    if name == "catalan_B":
-        for n in range(order + 1):
-            c[n] = catalan(n)
-    elif name == "inv_sqrt_1m4z":
-        for n in range(order + 1):
-            c[n] = math.comb(2 * n, n)
-    elif name == "F0_second":
-        for n in range(1, order + 1):
-            c[n] = 2 * (2 * n - 1) * math.comb(2 * n - 2, n - 1)
-    elif name == "chain_C":
-        for n in range(1, order + 1):
-            c[n] = 1 << (n - 1)
-    elif name == "L_all":
-        for n in range(1, order + 1):
-            c[n] = 4**n
-    else:
-        raise DomainError(f"unknown base series {name!r}; know {_BASE_NAMES}")
-    return TruncatedSeries(c)
-
-
-def _chain(order):
-    return base_series("chain_C", order)
-
-
-# Every tree family and sigma_r solve f_{k+1} = a + b * f_k(sigma) from f_0 = seed.
-# Each entry builds (seed, a, b) at one order; b is a series or an integer.
+# Every tree family and sigma_r solve f_{k+1} = a + b * f_k(sigma).  Each
+# entry gives f_0, a and b by their coefficients [z^n] in closed form, or b
+# as an integer; 1 << n >> 1 is [z^n] z/(1-2z), 2^(n-1) from n = 1.
 _RECURRENCES = {
-    "B": lambda o: (_one(o), _one(o), _chain(o)),
-    "F1": lambda o: (base_series("inv_sqrt_1m4z", o), _zero(o), _chain(o)),
-    "F2": lambda o: (base_series("F0_second", o), _zero(o), _chain(o)),
-    "sigma": lambda o: (_z(o), _zero(o), 1),
+    "B": (lambda n: int(n == 0), lambda n: int(n == 0), lambda n: 1 << n >> 1),
+    "F1": (lambda n: math.comb(2 * n, n), lambda n: 0, lambda n: 1 << n >> 1),
+    "F2": (
+        lambda n: n and 2 * (2 * n - 1) * math.comb(2 * n - 2, n - 1),
+        lambda n: 0,
+        lambda n: 1 << n >> 1,
+    ),
+    "sigma": (lambda n: int(n == 1), lambda n: 0, 1),
 }
 
 
@@ -197,7 +154,10 @@ def _stages(family, r, order):
     """
     if r < 0:
         raise DomainError("r must be nonnegative")
-    f, a, b = _RECURRENCES[family](order)
+    f, a, b = (
+        c if isinstance(c, int) else TruncatedSeries(map(c, range(order + 1)))
+        for c in _RECURRENCES[family]
+    )
     sig = sigma_series(order)
     stages = [f]
     for _ in range(r):
@@ -251,6 +211,17 @@ def l_r_equal_series(r, order):
     return 4 ** (r + 1) * s
 
 
+def rdeg_counts(n):
+    """{k: length-n paths with reduction degree exactly k}, nonzero counts
+    only: 4^(k+1) [z^n] sigma_k, off one pass of sigma's stages.  A
+    length-n path reduces at most n.bit_length() - 1 times."""
+    return {
+        k: c
+        for k, s in enumerate(_stages("sigma", n.bit_length() - 1, n))
+        if (c := 4 ** (k + 1) * s[n])
+    }
+
+
 def branch_total_series(order):
     """Sum over all size-n trees of the total branch count, per n.
 
@@ -288,11 +259,8 @@ class BivariateSeries:
         """Substitute z -> inner(z); v is untouched."""
         return BivariateSeries(c.compose(inner) for c in self.cols)
 
-    def eval_moment(self, which="first"):
-        """Collapse v: first moment sum m*c, or sum m^2*c ("second_raw")."""
-        power = {"first": 1, "second_raw": 2}.get(which)
-        if power is None:
-            raise DomainError(f"unknown moment {which!r}")
+    def moment(self, power):
+        """Collapse v: the series sum over m of m^power [v^m]."""
         terms = (m**power * c for m, c in enumerate(self.cols))
         return sum(terms, _zero(self.cols[0].order))
 

@@ -28,16 +28,17 @@ from .trees import almost_complete, format_tree, reduce_tree
 
 
 def _verify_identities(order):
-    cat = series.base_series("catalan_B", order)
+    ns = range(order + 1)
+    cat = series.TruncatedSeries([series.catalan(n) for n in ns])
     sig = series.sigma_series(order)
-    chain = series.base_series("chain_C", order)
-    one = series.TruncatedSeries.from_terms(order, {0: 1})
+    chain = series.TruncatedSeries([1 << n >> 1 for n in ns])  # z/(1-2z)
+    one = series.TruncatedSeries([int(n == 0) for n in ns])
     # tree functional equation: B = 1 + C * B(sigma)
     if cat != one + chain * cat.compose(sig):
         yield "tree functional equation fails"
-    # path functional equation: L = 4 L(sigma) + 4z
-    lat = series.base_series("L_all", order)
-    four_z = series.TruncatedSeries.from_terms(order, {1: 4})
+    # path functional equation: L = 4 L(sigma) + 4z, L = sum_{n >= 1} (4z)^n
+    lat = series.TruncatedSeries([4**n if n else 0 for n in ns])
+    four_z = series.TruncatedSeries([4 * (n == 1) for n in ns])
     if lat != 4 * lat.compose(sig) + four_z:
         yield "path functional equation fails"
     # Touchard's identity, n <= 30

@@ -18,12 +18,9 @@ class TestSubstitutionMaps:
         # sigma(Z(u)) = Z(u^2) for the tree-size substitution
         # Z(u) = u/(1+u)^2 = sum_k (-1)^(k-1) k u^k, in exact series
         order = 24
-        z_u = series.TruncatedSeries.from_terms(
-            order, {k: (-1) ** (k - 1) * k for k in range(1, order + 1)}
-        )
-        z_u2 = series.TruncatedSeries.from_terms(
-            order, {2 * k: (-1) ** (k - 1) * k for k in range(1, order // 2 + 1)}
-        )
+        ks = range(order + 1)
+        z_u = series.TruncatedSeries([(-1) ** (k - 1) * k if k else 0 for k in ks])
+        z_u2 = series.TruncatedSeries([0 if k % 2 else z_u[k // 2] for k in ks])
         assert series.sigma_series(order).compose(z_u) == z_u2
 
 
@@ -300,7 +297,7 @@ class TestFringeExpansions:
         # r <= 1: the mean against the closed form, the variance against the
         # second-moment series and, where enumeration is cheap, the oracle;
         # the r = 1 forms are exact from n = 3 (mean) and n = 4 (variance)
-        sq = {r: series.h_r_bivariate(r, 64).eval_moment("second_raw") for r in (0, 1)}
+        sq = {r: series.h_r_bivariate(r, 64).moment(2) for r in (0, 1)}
         for n in range(1, 65):
             stats = oracle.path_stats(n) if n <= 8 else None
             for r in (0, 1):
@@ -339,7 +336,7 @@ class TestFringeExpansions:
         # the exact variance is E[X^2], from the second-moment series, minus
         # the square of the closed-form mean
         def residuals(r, ns):
-            sq = series.h_r_bivariate(r, max(ns)).eval_moment("second_raw")
+            sq = series.h_r_bivariate(r, max(ns)).moment(2)
             for n in ns:
                 var = Fraction(sq[n], 4**n) - exact.expected_fringe(n, r) ** 2
                 yield n, Fraction(asym.asy_fringe(n, r, "variance").value) - var

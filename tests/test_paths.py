@@ -7,7 +7,6 @@ from hypothesis import strategies
 from redcalc.errors import DomainError, ParseError
 from redcalc.paths import (
     extremal_path,
-    fringe,
     fringe_sizes,
     parse_path,
     rdeg,
@@ -98,15 +97,6 @@ class TestFringes:
     def test_sizes_at_least_halve(self, p):
         sizes = fringe_sizes(p)
         assert all(b <= a // 2 for a, b in zip(sizes, sizes[1:]))
-
-    def test_fringe_matches_sizes(self):
-        p = "RRUULD"
-        assert fringe(p, 0) == p
-        assert len(fringe(p, 1)) == fringe_sizes(p)[1]
-        assert fringe(p, 5) is None
-
-    def test_zeroth_fringe_is_identity(self):
-        assert fringe("RUDL", 0) == "RUDL"
 
 
 class TestExtremal:

@@ -1,9 +1,11 @@
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 
 import pytest
 
+from redcalc import exact
 from redcalc.errors import DomainError
 from redcalc.paths import STEPS, fringe_sizes
 from redcalc.series import (
@@ -11,7 +13,6 @@ from redcalc.series import (
     TruncatedSeries,
     b_r_equal_series,
     b_r_series,
-    base_series,
     branch_total_series,
     catalan,
     f1_series,
@@ -19,6 +20,7 @@ from redcalc.series import (
     h_r_bivariate,
     l_r_equal_series,
     l_r_series,
+    rdeg_counts,
     sigma_iterate,
     sigma_series,
 )
@@ -26,7 +28,7 @@ from redcalc.series import (
 
 def reference_l(r, order):
     """L_r by its recurrence: L_0 = 4z and L_{k+1} = 4z + 4 L_k(sigma)."""
-    four_z = TruncatedSeries.from_terms(order, {1: 4})
+    four_z = TruncatedSeries([4 * (n == 1) for n in range(order + 1)])
     sig = sigma_series(order)
     f = four_z
     for _ in range(r):
@@ -39,7 +41,10 @@ def reference_h(r, order):
     H_{k+1} = 4 H_k(sigma(z), v)."""
     h = BivariateSeries(
         [TruncatedSeries([0] * (order + 1))]
-        + [TruncatedSeries.from_terms(order, {m: 4**m}) for m in range(1, order + 1)]
+        + [
+            TruncatedSeries([4**m * (n == m) for n in range(order + 1)])
+            for m in range(1, order + 1)
+        ]
     )
     sig = sigma_series(order)
     for _ in range(r):
@@ -63,7 +68,7 @@ class TestArithmetic:
         # 1/(1-z) composed with 2z is 1/(1-2z)
         order = 8
         geo = TruncatedSeries([1] * (order + 1))
-        double = TruncatedSeries.from_terms(order, {1: 2})
+        double = TruncatedSeries([0, 2] + [0] * (order - 1))
         assert geo.compose(double).c == tuple(2**n for n in range(order + 1))
 
     def test_order_mismatch(self):
@@ -71,29 +76,33 @@ class TestArithmetic:
             TruncatedSeries([1, 1]) + TruncatedSeries([1, 1, 1])
 
 
+# orders at which each family's stage 0 is checked against its closed form
+SEED_ORDERS = (0, 1, 9)
+
+
 class TestBaseSeries:
     def test_catalan(self):
-        assert base_series("catalan_B", 6).c == (1, 1, 2, 5, 14, 42, 132)
+        assert [catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
 
     def test_central_binomials(self):
-        assert base_series("inv_sqrt_1m4z", 4).c == (1, 2, 6, 20, 70)
+        # 1/sqrt(1-4z) counts the leaves of all size-n trees: C(2n, n)
+        assert f1_series(0, 4).c == (1, 2, 6, 20, 70)
+        for order in SEED_ORDERS:
+            f = f1_series(0, order)
+            assert f.c == tuple(math.comb(2 * n, n) for n in range(order + 1))
 
     def test_second_factorial_seed(self):
         # 2z/(1-4z)^(3/2) counts ordered leaf pairs: n(n+1)C_n
-        f = base_series("F0_second", 6)
-        for n in range(7):
-            assert f[n] == n * (n + 1) * catalan(n)
+        for order in SEED_ORDERS:
+            f = f2_series(0, order)
+            assert f.c == tuple(n * (n + 1) * catalan(n) for n in range(order + 1))
 
     def test_sigma_closed_form(self):
         sig = sigma_series(6)
-        z = TruncatedSeries.from_terms(6, {1: 1})
-        one = TruncatedSeries.from_terms(6, {0: 1})
-        two_z = TruncatedSeries.from_terms(6, {1: 2})
+        z = TruncatedSeries([0, 1, 0, 0, 0, 0, 0])
+        one = TruncatedSeries([1, 0, 0, 0, 0, 0, 0])
+        two_z = TruncatedSeries([0, 2, 0, 0, 0, 0, 0])
         assert sig * (one - two_z) * (one - two_z) == z * z
-
-    def test_unknown_name(self):
-        with pytest.raises(DomainError):
-            base_series("nope", 3)
 
 
 # printed expansions, bit for bit
@@ -144,10 +153,12 @@ class TestGoldenExpansions:
 
     def test_b_zero_is_one(self):
         assert b_r_series(0, 5).c == (1, 0, 0, 0, 0, 0)
+        for order in SEED_ORDERS:
+            assert b_r_series(0, order).c == (1,) + (0,) * order
 
     def test_b_converges_to_catalan(self):
         # for n < 2^r - 1 every tree fits within r reductions
-        assert b_r_series(5, 9).c == base_series("catalan_B", 9).c
+        assert b_r_series(5, 9).c == tuple(catalan(n) for n in range(10))
 
 
 class TestEqualitySeries:
@@ -156,17 +167,19 @@ class TestEqualitySeries:
         total = b_r_equal_series(0, order)
         for r in range(1, 5):
             total = total + b_r_equal_series(r, order)
-        assert total == base_series("catalan_B", order)
+        assert total == TruncatedSeries([catalan(n) for n in range(order + 1)])
 
     def test_degree_exactly_partitions(self):
         order = 12
         total = l_r_equal_series(0, order)
         for r in range(1, 5):
             total = total + l_r_equal_series(r, order)
-        assert total == base_series("L_all", order)
+        assert total == TruncatedSeries([4**n if n else 0 for n in range(order + 1)])
 
     def test_sigma_iterate_zero_is_identity(self):
         assert sigma_iterate(0, 5).c == (0, 1, 0, 0, 0, 0)
+        for order in SEED_ORDERS:
+            assert sigma_iterate(0, order).c == tuple(int(n == 1) for n in range(order + 1))
 
     @pytest.mark.parametrize("r", range(6))
     def test_equal_series_are_consecutive_differences(self, r):
@@ -226,21 +239,32 @@ class TestMomentSeries:
     # M2 = 4^(r+1) sigma_r (1 + 4 sigma_r) / (1 - 4 sigma_r)^3
     @pytest.mark.parametrize("order", [0, 1, 9, 40])
     def test_fringe_first_moment_closed_form(self, order):
-        one = TruncatedSeries.from_terms(order, {0: 1})
+        one = TruncatedSeries([1] + [0] * order)
         for r in range(5):
             s = sigma_iterate(r, order)
             d = one - 4 * s
-            m1 = h_r_bivariate(r, order).eval_moment("first")
+            m1 = h_r_bivariate(r, order).moment(1)
             assert d * d * m1 == 4 ** (r + 1) * s, r
 
     @pytest.mark.parametrize("order", [0, 1, 9, 40])
     def test_fringe_second_moment_closed_form(self, order):
-        one = TruncatedSeries.from_terms(order, {0: 1})
+        one = TruncatedSeries([1] + [0] * order)
         for r in range(5):
             s = sigma_iterate(r, order)
             d = one - 4 * s
-            m2 = h_r_bivariate(r, order).eval_moment("second_raw")
+            m2 = h_r_bivariate(r, order).moment(2)
             assert d * d * d * m2 == 4 ** (r + 1) * s * (one + 4 * s), r
+
+
+class TestRdegCounts:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_closed_form(self, n):
+        want = {
+            k: c for k in range(n.bit_length()) if (c := exact.count_paths_rdeg(n, k))
+        }
+        got = rdeg_counts(n)
+        assert got == want
+        assert sum(got.values()) == 4**n
 
 
 class TestDomain:
@@ -257,18 +281,25 @@ class TestDomain:
 
 
 class TestBivariate:
-    def test_eval_moment(self):
+    def test_moment(self):
         # [z^1] = 2v + v^2
         h = BivariateSeries(
             [TruncatedSeries([0, 0]), TruncatedSeries([0, 2]), TruncatedSeries([0, 1])]
         )
         assert h.row(1) == {1: 2, 2: 1}
-        assert h.eval_moment("first").c == (0, 4)
-        assert h.eval_moment("second_raw").c == (0, 6)
+        assert h.moment(0).c == (0, 3)
+        assert h.moment(1).c == (0, 4)
+        assert h.moment(2).c == (0, 6)
 
-    def test_unknown_moment(self):
-        with pytest.raises(DomainError):
-            h_r_bivariate(1, 3).eval_moment("third")
+    @pytest.mark.parametrize("r", range(5))
+    def test_zeroth_moment_counts_paths_reduced_r_times(self, r):
+        # H_r at v = 1 counts the length-n paths that reduce at least r times
+        order = 24
+        m0 = h_r_bivariate(r, order).moment(0)
+        assert m0[0] == 0
+        for n in range(1, order + 1):
+            want = sum(exact.count_paths_rdeg(n, k) for k in range(r, n.bit_length()))
+            assert m0[n] == want, (r, n)
 
     @pytest.mark.parametrize("r", range(4))
     def test_rows_are_fringe_size_histograms(self, r):
