@@ -154,8 +154,10 @@ def _stages(family, r, order):
     """
     if r < 0:
         raise DomainError("r must be nonnegative")
+    # from a list, whose length lets tuple() size its block once; a tuple
+    # grown from a map is resized as it fills, which fragments the heap
     f, a, b = (
-        c if isinstance(c, int) else TruncatedSeries(map(c, range(order + 1)))
+        c if isinstance(c, int) else TruncatedSeries([c(n) for n in range(order + 1)])
         for c in _RECURRENCES[family]
     )
     sig = sigma_series(order)
@@ -215,6 +217,8 @@ def rdeg_counts(n):
     """{k: length-n paths with reduction degree exactly k}, nonzero counts
     only: 4^(k+1) [z^n] sigma_k, off one pass of sigma's stages.  A
     length-n path reduces at most n.bit_length() - 1 times."""
+    if n < 1:
+        raise DomainError("need n >= 1")
     return {
         k: c
         for k, s in enumerate(_stages("sigma", n.bit_length() - 1, n))

@@ -266,6 +266,11 @@ class TestRdegCounts:
         assert got == want
         assert sum(got.values()) == 4**n
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_step(self, n):
+        with pytest.raises(DomainError, match="need n >= 1"):
+            rdeg_counts(n)
+
 
 class TestDomain:
     @pytest.mark.parametrize(
